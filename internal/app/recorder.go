@@ -82,8 +82,11 @@ func NewRecorder(shards int, tc *trace.Collector) *Recorder {
 // Latency folds one completed op into its class histogram.
 func (r *Recorder) Latency(class int, d sim.Time) {
 	ns := int64(d)
-	r.Lat[class].Observe(ns)
-	r.tc.ObserveBounds("app", "lat."+classNames[class], trace.FineBounds(), ns)
+	h := r.Lat[class]
+	h.Observe(ns)
+	if r.tc.Enabled() {
+		r.tc.ObserveBounds("app", "lat."+classNames[class], h.Bounds, ns)
+	}
 }
 
 // Depth records a shard's instantaneous admission-queue depth, observed by

@@ -69,6 +69,16 @@ func clusterFrom(cfg cluster.Config, provide func(cluster.Config) *cluster.Clust
 	return cluster.New(cfg)
 }
 
+// releaseCluster ends a figure driver's use of its world once the
+// measurement is taken, so a sweep does not accumulate parked daemon procs.
+// A world with stalled procs is left up: the chaos harness names them
+// (Engine.Stalled) and shuts the world down itself.
+func releaseCluster(c *cluster.Cluster) {
+	if len(c.Eng.Stalled()) == 0 {
+		c.Shutdown()
+	}
+}
+
 // benchCluster is how every figure driver builds its system: the default
 // 4-node prototype, plus whatever the chaos harness injects.
 func benchCluster(tc *trace.Collector) *cluster.Cluster {

@@ -142,6 +142,7 @@ func vmmcPingPong(strategy string, size, iters int, tc *trace.Collector) (float6
 	c.Spawn(0, "ping", side(0, 1))
 	c.Spawn(1, "pong", side(1, 0))
 	c.Run()
+	releaseCluster(c)
 
 	total := end.Sub(start).Seconds()
 	lat := total / float64(2*iters) * 1e6

@@ -65,6 +65,7 @@ func nxPingPong(proto nx.Proto, size, iters int, tc *trace.Collector) (float64, 
 	c.Spawn(0, "ping", side(0, 1))
 	c.Spawn(1, "pong", side(1, 0))
 	c.Run()
+	releaseCluster(c)
 
 	total := end.Sub(start).Seconds()
 	lat := total / float64(2*iters) * 1e6

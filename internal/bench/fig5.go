@@ -98,6 +98,7 @@ func vrpcPingPong(mode sunrpc.Mode, size, iters int, tc *trace.Collector) (float
 		end = p.P.Now()
 	})
 	c.Run()
+	releaseCluster(c)
 	total := end.Sub(start).Seconds()
 	rt := total / float64(iters) * 1e6
 	bw := float64(2*iters*size) / total / 1e6
@@ -172,6 +173,7 @@ func RunRPCBaseline() RPCBaseline {
 		end = p.P.Now()
 	})
 	c.Run()
+	releaseCluster(c)
 	r.EtherNullUS = end.Sub(start).Seconds() / iters * 1e6
 	r.Speedup = r.EtherNullUS / r.SBLNullUS
 	return r

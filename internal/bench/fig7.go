@@ -40,6 +40,7 @@ func socketPair(mode socket.Mode, tc *trace.Collector, server, client func(c *so
 		client(conn, p)
 	})
 	cl.Run()
+	releaseCluster(cl)
 }
 
 // SocketPingPong measures one-way latency (us) and ping-pong bandwidth

@@ -60,6 +60,7 @@ func srpcNull(size, iters int, tc *trace.Collector) float64 {
 		end = p.P.Now()
 	})
 	c.Run()
+	releaseCluster(c)
 	return end.Sub(start).Seconds() / float64(iters) * 1e6
 }
 

@@ -117,13 +117,11 @@ type NIC struct {
 	Net *mesh.Network
 	ID  mesh.NodeID
 
-	opt     []OPTEntry
-	optFree []bool // true = available
-	// ipt is the incoming page table, chunked and demand-allocated: a nil
-	// chunk reads as all-disabled entries. One entry per local frame would
-	// be a 10k-entry pointer-bearing slab per NIC; real workloads program
-	// only a handful of pages.
-	ipt      []*iptChunk
+	// opt and ipt are the outgoing and incoming page tables (see table).
+	// optUsed marks the OPT entries AllocOPT has reserved.
+	opt      table[OPTEntry]
+	optUsed  []bool
+	ipt      table[IPTEntry]
 	iptPages int // total local frames the table covers
 
 	auByFrame map[mem.PFN]int // local frame -> OPT index (AU binding)
@@ -190,9 +188,9 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 		M:         m,
 		Net:       net,
 		ID:        id,
-		opt:       make([]OPTEntry, optEntries),
-		optFree:   make([]bool, optEntries),
-		ipt:       make([]*iptChunk, (m.Mem.Pages()+1<<iptChunkShift-1)>>iptChunkShift),
+		opt:       newTable[OPTEntry](optEntries),
+		optUsed:   make([]bool, optEntries),
+		ipt:       newTable[IPTEntry](m.Mem.Pages()),
 		iptPages:  m.Mem.Pages(),
 		auByFrame: make(map[mem.PFN]int),
 		port:      sim.NewServer(m.Eng),
@@ -200,12 +198,43 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 		idleCond:  sim.NewCond(m.Eng),
 		track:     m.TraceNode + "/nic",
 	}
-	for i := range n.optFree {
-		n.optFree[i] = true
-	}
 	net.Attach(id, n.incoming)
 	m.Mem.SetSnoop(n.snoop)
 	return n
+}
+
+// chunkShift sizes page-table chunks (256 entries).
+const chunkShift = 8
+
+// table is a page table, chunked and demand-allocated: a chunk is
+// allocated on the first nonzero write into it and a nil chunk reads as
+// zero entries (invalid, receive-disabled). A dense table would cost every
+// boot a 4096-entry OPT and a 10k-entry pointer-bearing IPT per NIC;
+// real workloads program only a handful of entries.
+type table[E comparable] []*[1 << chunkShift]E
+
+func newTable[E comparable](entries int) table[E] {
+	return make(table[E], (entries+1<<chunkShift-1)>>chunkShift)
+}
+
+func (t table[E]) get(i int) (e E) {
+	if c := t[i>>chunkShift]; c != nil {
+		e = c[i&(1<<chunkShift-1)]
+	}
+	return e
+}
+
+func (t table[E]) set(i int, e E) {
+	c := t[i>>chunkShift]
+	if c == nil {
+		var zero E
+		if e == zero {
+			return // an absent chunk already reads as zero
+		}
+		c = new([1 << chunkShift]E)
+		t[i>>chunkShift] = c
+	}
+	c[i&(1<<chunkShift-1)] = e
 }
 
 // --- OPT management (performed by the trusted daemon) ---
@@ -215,13 +244,13 @@ func New(m *kernel.Machine, net *mesh.Network, id mesh.NodeID, optEntries int) *
 // multi-page import with one index.
 func (n *NIC) AllocOPT(count int) (int, error) {
 	run := 0
-	for i := range n.optFree {
-		if n.optFree[i] {
+	for i, used := range n.optUsed {
+		if !used {
 			run++
 			if run == count {
 				base := i - count + 1
 				for j := base; j <= i; j++ {
-					n.optFree[j] = false
+					n.optUsed[j] = true
 				}
 				return base, nil
 			}
@@ -235,51 +264,40 @@ func (n *NIC) AllocOPT(count int) (int, error) {
 // FreeOPT releases entries and invalidates them.
 func (n *NIC) FreeOPT(base, count int) {
 	for i := base; i < base+count; i++ {
-		n.opt[i] = OPTEntry{}
-		n.optFree[i] = true
+		n.SetOPT(i, OPTEntry{})
+		n.optUsed[i] = false
 	}
 }
 
 // SetOPT programs an entry (memory-mapped I/O from the daemon).
-func (n *NIC) SetOPT(idx int, e OPTEntry) { n.opt[idx] = e }
+func (n *NIC) SetOPT(idx int, e OPTEntry) {
+	_ = n.optUsed[idx] // bounds: the last chunk may run past the table
+	n.opt.set(idx, e)
+}
 
 // GetOPT reads an entry back.
-func (n *NIC) GetOPT(idx int) OPTEntry { return n.opt[idx] }
+func (n *NIC) GetOPT(idx int) OPTEntry {
+	_ = n.optUsed[idx]
+	return n.opt.get(idx)
+}
 
 // OPTSize returns the table capacity.
-func (n *NIC) OPTSize() int { return len(n.opt) }
+func (n *NIC) OPTSize() int { return len(n.optUsed) }
 
 // --- IPT management ---
 
-// iptChunkShift sizes IPT chunks (256 entries, one page of entries or so).
-const iptChunkShift = 8
-
-type iptChunk [1 << iptChunkShift]IPTEntry
-
 // SetIPT programs the incoming page-table entry for a local frame.
-func (n *NIC) SetIPT(f mem.PFN, e IPTEntry) {
-	c := n.ipt[f>>iptChunkShift]
-	if c == nil {
-		c = new(iptChunk)
-		n.ipt[f>>iptChunkShift] = c
-	}
-	c[f&(1<<iptChunkShift-1)] = e
-}
+func (n *NIC) SetIPT(f mem.PFN, e IPTEntry) { n.ipt.set(int(f), e) }
 
 // GetIPT reads the entry for a frame.
-func (n *NIC) GetIPT(f mem.PFN) IPTEntry {
-	if c := n.ipt[f>>iptChunkShift]; c != nil {
-		return c[f&(1<<iptChunkShift-1)]
-	}
-	return IPTEntry{}
-}
+func (n *NIC) GetIPT(f mem.PFN) IPTEntry { return n.ipt.get(int(f)) }
 
 // --- Automatic update bindings ---
 
 // BindAU binds a local frame to OPT entry idx: subsequent CPU stores to the
 // frame are snooped and packetized toward the entry's destination page.
 func (n *NIC) BindAU(localFrame mem.PFN, idx int) {
-	if !n.opt[idx].Valid {
+	if !n.GetOPT(idx).Valid {
 		panic("nic: BindAU to invalid OPT entry") //lint:allow transitive-panic hardware assertion: the daemon re-validates the import after its charged syscall time, so an invalid entry here is a daemon bug
 	}
 	n.auByFrame[localFrame] = idx
@@ -308,7 +326,7 @@ func (n *NIC) snoop(pa mem.PA, data []byte) {
 	if !ok {
 		return
 	}
-	e := n.opt[idx]
+	e := n.GetOPT(idx)
 	if !e.Valid {
 		return
 	}
@@ -433,7 +451,7 @@ func (n *NIC) kickInject() {
 		if n.dead {
 			return
 		}
-		e := n.opt[pkt.optIdx]
+		e := n.GetOPT(pkt.optIdx)
 		if e.Valid {
 			n.PacketsOut++
 			n.M.Trace.Count(n.track, "packets.out", 1)
@@ -534,7 +552,7 @@ func (n *NIC) runDUChunk(job *DUJob, i int, first bool) {
 			optIdx: c.OPTIdx,
 			dstOff: c.DstOff,
 			data:   data,
-			notify: c.Notify || n.opt[c.OPTIdx].NotifyOnArrival,
+			notify: c.Notify || n.GetOPT(c.OPTIdx).NotifyOnArrival,
 		})
 		n.runDUChunk(job, i+1, false)
 	})

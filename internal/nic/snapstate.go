@@ -69,7 +69,7 @@ func (n *NIC) SnapState() (State, error) {
 		return State{}, fmt.Errorf("nic %d: snapshot under an injected outgoing stall", n.ID)
 	}
 	st := State{
-		OPTSize:      len(n.opt),
+		OPTSize:      n.OPTSize(),
 		Frozen:       n.frozen,
 		Dead:         n.dead,
 		PacketsOut:   n.PacketsOut,
@@ -78,11 +78,18 @@ func (n *NIC) SnapState() (State, error) {
 		ForcedFaults: n.ForcedFaults,
 		OutQPeak:     n.OutQPeak,
 	}
-	for i, e := range n.opt {
-		if e.Valid {
-			st.OPT = append(st.OPT, OPTSlot{Idx: i, E: e})
+	for ci, c := range n.opt {
+		if c == nil {
+			continue
 		}
-		if !n.optFree[i] {
+		for i, e := range c {
+			if e.Valid {
+				st.OPT = append(st.OPT, OPTSlot{Idx: ci<<chunkShift + i, E: e})
+			}
+		}
+	}
+	for i, used := range n.optUsed {
+		if used {
 			st.Reserved = append(st.Reserved, i)
 		}
 	}
@@ -95,7 +102,7 @@ func (n *NIC) SnapState() (State, error) {
 				continue
 			}
 			st.IPT = append(st.IPT, IPTSlot{
-				F:         mem.PFN(ci<<iptChunkShift + i),
+				F:         mem.PFN(ci<<chunkShift + i),
 				Enable:    e.Enable,
 				Interrupt: e.Interrupt,
 				FastNote:  e.FastNotify,
@@ -114,17 +121,17 @@ func (n *NIC) SnapState() (State, error) {
 // RestoreState installs a captured state onto a freshly built board. IPT
 // tags are installed nil; the daemon's restore re-tags exported pages.
 func (n *NIC) RestoreState(st State) error {
-	if st.OPTSize != len(n.opt) {
-		return fmt.Errorf("nic %d: OPT geometry mismatch: have %d entries, image %d", n.ID, len(n.opt), st.OPTSize)
+	if st.OPTSize != n.OPTSize() {
+		return fmt.Errorf("nic %d: OPT geometry mismatch: have %d entries, image %d", n.ID, n.OPTSize(), st.OPTSize)
 	}
 	if st.Dead {
 		return fmt.Errorf("nic %d: restoring a crashed board image", n.ID)
 	}
 	for _, s := range st.OPT {
-		n.opt[s.Idx] = s.E
+		n.SetOPT(s.Idx, s.E)
 	}
 	for _, i := range st.Reserved {
-		n.optFree[i] = false
+		n.optUsed[i] = true
 	}
 	for _, s := range st.IPT {
 		n.SetIPT(s.F, IPTEntry{Enable: s.Enable, Interrupt: s.Interrupt, FastNotify: s.FastNote})

@@ -1,16 +1,23 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"time"
 )
 
-// Proc is a simulated sequential process (a coroutine backed by a goroutine).
+// Proc is a simulated sequential process: a stdlib coroutine (iter.Pull)
+// that the engine resumes and the proc suspends.
 //
-// Exactly one goroutine is runnable at any instant: either the engine's event
-// loop or a single Proc. Control transfers by synchronous channel handoff, so
-// a Proc may freely touch engine and model state while it runs — no other
-// code can be executing concurrently.
+// Exactly one of the engine's event loop or a single Proc runs at any
+// instant. Control transfers by coroutine switch — the engine resumes a
+// proc with next, the proc hands control back with yield — so a Proc may
+// freely touch engine and model state while it runs: no other code can be
+// executing concurrently. The switch is a direct goroutine-to-goroutine
+// handoff that never enters the Go scheduler.
 //
 // Procs advance virtual time with Sleep/Delay, and block on Conds. Code
 // running inside a Proc must only return to the engine through these calls.
@@ -18,17 +25,16 @@ type Proc struct {
 	Name string
 
 	eng *Engine
-	// ch is the bidirectional handoff channel. Control alternates strictly
-	// (engine sends to resume the proc, the proc sends to yield back), so a
-	// single unbuffered channel suffices and each switch costs one handoff
-	// instead of two.
-	ch   chan struct{}
-	done bool
-	dead bool // goroutine exited
+	// next resumes the coroutine until its next yield (or until the body
+	// returns); yield, valid only inside the body, suspends it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
+	dead  bool // coroutine body exited
 
 	wakePending bool    // an unpark event is already scheduled
 	waitingOn   []*Cond // conds this proc is currently enqueued on
-	killed      bool    // Shutdown/Kill has asked the goroutine to unwind
+	killed      bool    // Shutdown/Kill has asked the body to unwind
 	service     bool    // daemon-style proc: excluded from deadlock diagnosis
 
 	// wake and redispatch are the proc's two wakeup callbacks, built once
@@ -43,18 +49,18 @@ type Proc struct {
 	interruptsMasked  bool
 }
 
-// killSentinel unwinds a proc goroutine during Engine.Shutdown.
+// killSentinel unwinds a proc body during Kill and Engine.Shutdown.
 type killSentinel struct{}
 
 // Spawn creates a process and schedules its first execution at the current
 // time. fn runs in the process context; when fn returns the process is done.
-// A panic in fn is fatal to the host program (simulation state would be
-// unrecoverable); only the Shutdown sentinel is absorbed.
+// A panic in fn propagates out of the Engine.Run (or Shutdown) call that
+// resumed the proc, with its original value, and leaves the engine spent;
+// only the kill sentinel is absorbed.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		Name: name,
 		eng:  e,
-		ch:   make(chan struct{}),
 	}
 	p.wake = func() {
 		p.wakePending = false
@@ -67,17 +73,16 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.dispatch(p)
 	}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.ch
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			p.dead = true
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; swallowing it would hide the crash
+					panic(r) //lint:allow transitive-panic re-propagating a genuine failure from a simulated process body; iter.Pull hands it to the resumer
 				}
 			}
 			p.done = true
-			p.dead = true
-			p.ch <- struct{}{}
 		}()
 		if p.killed {
 			// Killed before its first instruction ran: unwind without
@@ -85,7 +90,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			panic(killSentinel{}) //lint:allow transitive-panic the kill-unwind mechanism itself: caught by the recover above, never escapes
 		}
 		fn(p)
-	}()
+	})
 	e.Post(0, p.redispatch)
 	return p
 }
@@ -100,16 +105,14 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	prev := e.cur
 	e.cur = p
-	p.ch <- struct{}{}
-	<-p.ch
+	p.next()
 	e.cur = prev
 }
 
-// park yields control back to the engine. Must be called from p's goroutine.
+// park yields control back to the engine. Must be called from p's body.
 // The proc will not run again until something schedules an unpark.
 func (p *Proc) park() {
-	p.ch <- struct{}{}
-	<-p.ch
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{}) //lint:allow transitive-panic controlled unwind of a killed proc; the engine recovers the sentinel
 	}
@@ -199,12 +202,14 @@ func (p *Proc) Interrupt(fn func(*Proc)) {
 	}
 }
 
-// leaveConds removes the proc from every cond it is enqueued on.
+// leaveConds removes the proc from every cond it is enqueued on, keeping
+// the backing array for the next wait.
 func (p *Proc) leaveConds() {
 	for _, c := range p.waitingOn {
 		c.remove(p)
 	}
-	p.waitingOn = nil
+	clear(p.waitingOn)
+	p.waitingOn = p.waitingOn[:0]
 }
 
 // MaskInterrupts defers queued and future interrupt handlers until
@@ -299,12 +304,14 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	c.waiters = slices.Delete(c.waiters, 0, 1)
 	p.leaveConds()
 	p.unpark()
 }
 
-// Broadcast wakes every waiting proc.
+// Broadcast wakes every waiting proc. The waiter list is detached while
+// the wakeups run (so leaveConds skips c) and its backing array is reused
+// afterwards: unpark only posts events, so nothing re-enqueues meanwhile.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
@@ -312,12 +319,14 @@ func (c *Cond) Broadcast() {
 		p.leaveConds()
 		p.unpark()
 	}
+	clear(ws)
+	c.waiters = ws[:0]
 }
 
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			c.waiters = slices.Delete(c.waiters, i, i+1)
 			return
 		}
 	}
