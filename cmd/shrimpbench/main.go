@@ -213,12 +213,7 @@ func main() {
 	}
 
 	if *faults {
-		var results []bench.ChaosResult
-		if *parallel > 0 {
-			results = bench.RunChaosParallel(*faultSeed, *parallel)
-		} else {
-			results = bench.RunChaos(*faultSeed)
-		}
+		results := bench.RunChaos(*faultSeed, *parallel)
 		fmt.Print(bench.ChaosTable(results))
 		fmt.Println()
 		points := bench.DegradedFig5(1024, 32, *faultSeed, []float64{0, 0.001, 0.01})

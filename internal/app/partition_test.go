@@ -328,8 +328,8 @@ func TestPartitionOneWayUnderLoad(t *testing.T) {
 // partition armed, cut, and healed mid-load — randomness and event order
 // are stable through the whole sever/depose/heal/reconcile cycle.
 func TestPartitionDeterminism(t *testing.T) {
-	scenario := func() {
-		cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, FaultPlan: &fault.Plan{}})
+	scenario := func(d sim.Tracer) {
+		cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, FaultPlan: &fault.Plan{}, Auto: d})
 		a, err := app.Start(cl, app.Config{Reachable: cl.Reachable})
 		if err != nil {
 			panic(err)

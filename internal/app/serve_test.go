@@ -95,9 +95,9 @@ func TestReplicaReads(t *testing.T) {
 
 // determinismScenario is the digest workload: moderate load with bursts
 // and replica reads, at the given mesh size.
-func determinismScenario(mx, my int) func() {
-	return func() {
-		cl := cluster.New(cluster.Config{MeshX: mx, MeshY: my})
+func determinismScenario(mx, my int) func(d sim.Tracer) {
+	return func(d sim.Tracer) {
+		cl := cluster.New(cluster.Config{MeshX: mx, MeshY: my, Auto: d})
 		a, err := app.Start(cl, app.Config{})
 		if err != nil {
 			panic(err)
@@ -211,8 +211,8 @@ func TestFailoverRecoversWithoutLosingAckedWrites(t *testing.T) {
 
 func TestFailoverDeterminism(t *testing.T) {
 	const victim = 1
-	scenario := func() {
-		cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2})
+	scenario := func(d sim.Tracer) {
+		cl := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, Auto: d})
 		a, err := app.Start(cl, app.Config{})
 		if err != nil {
 			panic(err)

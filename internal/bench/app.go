@@ -8,8 +8,8 @@
 //   - AppRamp — the offered-load ramp behind the EXPERIMENTS.md table:
 //     throughput and served-latency quantiles vs offered load, through
 //     saturation into admission-controlled overload.
-//   - chaosAppServe / chaosAppFailover — the soak-matrix cells that put the
-//     serving stack under the standard fault plans.
+//   - chaosAppFailover / chaosAppPartition — the soak-matrix cells that put
+//     the serving stack through a crash and through link partitions.
 package bench
 
 import (
@@ -23,7 +23,6 @@ import (
 	"shrimp/internal/cluster"
 	"shrimp/internal/fault"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 )
 
 // AppServeOpts parameterizes one serving run.
@@ -82,23 +81,15 @@ type AppServeResult struct {
 	Stable bool
 }
 
-// appCluster is benchCluster at an explicit mesh size: the serving
-// scenarios need 8 nodes where the figure drivers use the 4-node
-// prototype, and the chaos harness must still be able to slip fault plans
-// underneath.
-func appCluster(tc *trace.Collector, mx, my int) *cluster.Cluster {
-	return buildCluster(cluster.Config{MeshX: mx, MeshY: my, Trace: tc})
-}
-
 // appServe runs one serving scenario to completion and fills stats. It
 // validates what every run must satisfy — the generator drained and no
 // value or protocol corruption — and, when a crash was scheduled, that
 // failover was detected, recovery completed, and the rejoined follower was
-// resynced.
-func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) error {
-	cl := appCluster(tc, opts.MeshX, opts.MeshY)
+// resynced. The world is e's; the caller closes e on every path.
+func appServe(e *env, opts AppServeOpts, stats *AppServeStats) error {
+	cl := e.world(opts.MeshX, opts.MeshY)
 	acfg := opts.appCfg
-	acfg.Trace = tc
+	acfg.Trace = e.cfg.Trace
 	if len(opts.Partition) > 0 {
 		if cl.Fault == nil {
 			return fmt.Errorf("app: partition scheduled but the fault injector is not armed")
@@ -233,7 +224,6 @@ func appServe(tc *trace.Collector, opts AppServeOpts, stats *AppServeStats) erro
 		stats.MakespanNS = r.MakespanNS
 		stats.Recovery = r.Recovery
 	}
-	cl.Shutdown()
 	return nil
 }
 
@@ -267,12 +257,13 @@ func AcceptanceAppOpts() AppServeOpts {
 // the first run's stats plus digest stability.
 func RunAppServe(opts AppServeOpts) (AppServeResult, error) {
 	var res AppServeResult
-	var err1, err2 error
-	d1 := sim.Digest(func() { err1 = appServe(nil, opts, &res.AppServeStats) })
+	d1, err1 := runDigested(cluster.Config{}, func(e *env) error {
+		return appServe(e, opts, &res.AppServeStats)
+	})
 	if err1 != nil {
 		return res, err1
 	}
-	d2 := sim.Digest(func() { err2 = appServe(nil, opts, nil) })
+	d2, err2 := runDigested(cluster.Config{}, func(e *env) error { return appServe(e, opts, nil) })
 	if err2 != nil {
 		return res, fmt.Errorf("second run: %w", err2)
 	}
@@ -324,10 +315,12 @@ type AppRampRow struct {
 // it, admission control sheds the excess while the served quantiles stay
 // bounded. Each point is an independent cluster.
 func AppRamp(rates []float64) ([]AppRampRow, error) {
+	e := &env{}
+	defer e.close()
 	rows := make([]AppRampRow, 0, len(rates))
 	for _, rate := range rates {
 		var st AppServeStats
-		err := appServe(nil, AppServeOpts{
+		err := appServe(e, AppServeOpts{
 			MeshX: 2, MeshY: 2,
 			Sessions: 1 << 14,
 			Rate:     rate,
@@ -381,11 +374,6 @@ func chaosAppOpts() AppServeOpts {
 	}
 }
 
-// chaosAppServe is the "app" scenario of the soak matrix.
-func chaosAppServe(tc *trace.Collector) error {
-	return appServe(tc, chaosAppOpts(), nil)
-}
-
 // appPartitionCell names one partition shape of the soak matrix.
 type appPartitionCell struct {
 	name    string
@@ -435,9 +423,9 @@ func appPartitionOpts(c appPartitionCell) AppServeOpts {
 
 // chaosAppPartition builds the runner for one partition cell of the soak
 // matrix.
-func chaosAppPartition(c appPartitionCell) func(tc *trace.Collector) error {
-	return func(tc *trace.Collector) error {
-		return appServe(tc, appPartitionOpts(c), nil)
+func chaosAppPartition(c appPartitionCell) func(e *env) error {
+	return func(e *env) error {
+		return appServe(e, appPartitionOpts(c), nil)
 	}
 }
 
@@ -463,16 +451,10 @@ func RunAppPartition(seed int64) ([]AppPartitionRow, error) {
 	rows := make([]AppPartitionRow, 0, 4)
 	for _, c := range appPartitionCells() {
 		opts := appPartitionOpts(c)
+		base := cluster.Config{FaultPlan: &fault.Plan{Name: c.name}, FaultSeed: seed}
 		var st AppServeStats
-		var err1, err2 error
-		clusterMod = func(cfg *cluster.Config) {
-			cfg.FaultPlan = &fault.Plan{Name: c.name}
-			cfg.FaultSeed = seed
-		}
-		d1 := sim.Digest(func() { err1 = appServe(nil, opts, &st) })
-		d2 := sim.Digest(func() { err2 = appServe(nil, opts, nil) })
-		clusterMod = nil
-		lastCluster = nil
+		d1, err1 := runDigested(base, func(e *env) error { return appServe(e, opts, &st) })
+		d2, err2 := runDigested(base, func(e *env) error { return appServe(e, opts, nil) })
 		if err1 != nil {
 			return rows, fmt.Errorf("%s: %w", c.name, err1)
 		}
@@ -517,7 +499,7 @@ func AppPartitionTable(rows []AppPartitionRow) string {
 // live load, is detected by deadline expiry, restarted, rejoined, and
 // resynced — the run fails unless recovery completed and no acknowledged
 // value was corrupted.
-func chaosAppFailover(tc *trace.Collector) error {
+func chaosAppFailover(e *env) error {
 	opts := chaosAppOpts()
 	opts.Sessions = 1 << 10
 	opts.Duration = 18 * time.Millisecond
@@ -527,5 +509,5 @@ func chaosAppFailover(tc *trace.Collector) error {
 	opts.Crash = 2
 	opts.CrashAt = 4 * time.Millisecond
 	opts.RestartAfter = 8 * time.Millisecond
-	return appServe(tc, opts, nil)
+	return appServe(e, opts, nil)
 }

@@ -22,69 +22,6 @@ import (
 	"shrimp/internal/vmmc"
 )
 
-// clusterMod, when non-nil, rewrites the configuration every benchmark
-// driver builds its cluster from; the chaos harness uses it to slip a fault
-// plan (and the reliability sublayer) under an unmodified figure scenario.
-// lastCluster records the most recent cluster a driver built, so the
-// harness can inspect its watchdog and fault counters after the run.
-var (
-	clusterMod  func(*cluster.Config)
-	lastCluster *cluster.Cluster
-	// clusterProvide, when non-nil, sources the cluster for a resolved
-	// config instead of booting fresh — the snapshot pool's hook. A
-	// provider may return nil to decline (config it has no image for),
-	// which falls back to a normal boot.
-	clusterProvide func(cluster.Config) *cluster.Cluster
-)
-
-// buildCluster resolves a driver's cluster request: the config rewriter
-// runs first (fault plans, per-engine digests), then the provider gets a
-// chance to serve a pooled or cloned world, and a fresh boot is the
-// fallback. A worker registered by the parallel runner gets its own hooks
-// and cluster slot; only the sequential path touches the package globals.
-func buildCluster(cfg cluster.Config) *cluster.Cluster {
-	if env := currentEnv(); env != nil {
-		if env.mod != nil {
-			env.mod(&cfg)
-		}
-		c := clusterFrom(cfg, env.provide)
-		env.last = c
-		return c
-	}
-	if clusterMod != nil {
-		clusterMod(&cfg)
-	}
-	c := clusterFrom(cfg, clusterProvide)
-	lastCluster = c
-	return c
-}
-
-// clusterFrom consults a provider before falling back to a fresh boot.
-func clusterFrom(cfg cluster.Config, provide func(cluster.Config) *cluster.Cluster) *cluster.Cluster {
-	if provide != nil {
-		if c := provide(cfg); c != nil {
-			return c
-		}
-	}
-	return cluster.New(cfg)
-}
-
-// releaseCluster ends a figure driver's use of its world once the
-// measurement is taken, so a sweep does not accumulate parked daemon procs.
-// A world with stalled procs is left up: the chaos harness names them
-// (Engine.Stalled) and shuts the world down itself.
-func releaseCluster(c *cluster.Cluster) {
-	if len(c.Eng.Stalled()) == 0 {
-		c.Shutdown()
-	}
-}
-
-// benchCluster is how every figure driver builds its system: the default
-// 4-node prototype, plus whatever the chaos harness injects.
-func benchCluster(tc *trace.Collector) *cluster.Cluster {
-	return buildCluster(cluster.Config{Trace: tc})
-}
-
 // StandardChaosPlans is the soak matrix: three lossy-link plans (which the
 // reliability sublayer must absorb) and one NIC-fault plan (freeze storm +
 // outgoing stall, exercised on the raw in-order backplane).
@@ -124,17 +61,25 @@ func (r ChaosResult) OK() bool {
 	return r.Detail == "" && r.Stable && len(r.Blocked) == 0
 }
 
-// RunChaos runs the full soak matrix with the given injector seed: every
-// figure scenario under every standard plan, plus the mid-transfer node
-// crash/recovery scenario under its own plan. Lossy-link plans run with the
-// mesh reliability sublayer enabled (the stack under test); the NIC-fault
-// plan runs on the raw backplane.
-func RunChaos(seed int64) []ChaosResult {
-	var out []ChaosResult
+// chaosCell is one (scenario, plan) cell of the soak matrix.
+type chaosCell struct {
+	name     string
+	plan     fault.Plan
+	reliable bool
+	run      func(e *env) error
+}
+
+// chaosCells is the full soak matrix: every figure scenario under every
+// standard plan, plus the mid-transfer node crash/recovery scenario, the
+// serving-stack failover cell and the partition quadrant under their own
+// plans. Lossy-link plans run with the mesh reliability sublayer enabled
+// (the stack under test); the NIC-fault plan runs on the raw backplane.
+func chaosCells() []chaosCell {
+	var cells []chaosCell
 	for _, plan := range StandardChaosPlans() {
 		reliable := plan.Link != (fault.LinkFaults{})
 		for _, sc := range chaosScenarios {
-			out = append(out, chaosCase(sc, plan, seed, reliable, scenarioRunner(sc)))
+			cells = append(cells, chaosCell{sc, plan, reliable, scenarioRunner(sc)})
 		}
 	}
 	// 5 ms lands inside the sender's transfer loop: the two Ethernet import
@@ -142,52 +87,57 @@ func RunChaos(seed int64) []ChaosResult {
 	crashPlan := fault.Plan{Name: "crash-node2-mid-transfer", Crashes: []fault.Crash{
 		{Node: 2, At: 5 * time.Millisecond},
 	}}
-	out = append(out, chaosCase("crash-recovery", crashPlan, seed, false, chaosCrashRecovery))
+	cells = append(cells, chaosCell{"crash-recovery", crashPlan, false, chaosCrashRecovery})
 	// The serving-stack failover cell schedules its own crash, restart, and
 	// rejoin; the empty plan just keeps the injector armed for the digest.
-	out = append(out, chaosCase("app-failover", fault.Plan{Name: "primary-crash-rejoin"},
-		seed, false, chaosAppFailover))
+	cells = append(cells, chaosCell{"app-failover", fault.Plan{Name: "primary-crash-rejoin"},
+		false, chaosAppFailover})
 	// The partition quadrant: minority group, isolated primary, asymmetric
 	// cut, flapping link. Each cell schedules its own sever/heal through
 	// the armed injector and verifies acked-write durability afterwards.
 	for _, c := range appPartitionCells() {
-		out = append(out, chaosCase(c.name, fault.Plan{Name: c.name},
-			seed, false, chaosAppPartition(c)))
+		cells = append(cells, chaosCell{c.name, fault.Plan{Name: c.name},
+			false, chaosAppPartition(c)})
 	}
+	return cells
+}
+
+// RunChaos runs the full soak matrix with the given injector seed, its
+// cells spread over up to workers OS threads (workers <= 1 runs them in
+// order on the calling goroutine). Every cell owns its env, so the results
+// — order, digests, verdicts — do not depend on workers.
+func RunChaos(seed int64, workers int) []ChaosResult {
+	cells := chaosCells()
+	out := make([]ChaosResult, len(cells))
+	runPool(workers, len(cells), func(i int) { out[i] = cells[i].check(seed) })
 	return out
 }
 
-func scenarioRunner(sc string) func(tc *trace.Collector) error {
+func scenarioRunner(sc string) func(e *env) error {
 	if sc == "integrity" {
 		return chaosIntegrity
 	}
-	return func(tc *trace.Collector) error {
-		_, err := TraceFigure(sc, tc)
+	return func(e *env) error {
+		_, err := traceFigure(e, sc)
 		return err
 	}
 }
 
-// chaosCase runs one cell twice under the determinism digest and collects
-// the verdict.
-func chaosCase(name string, plan fault.Plan, seed int64, reliable bool, run func(tc *trace.Collector) error) ChaosResult {
-	res := ChaosResult{Scenario: name, Plan: plan.Name, Seed: seed}
+// check runs the cell twice, each time on a fresh env carrying the plan
+// and a new replay-digest fold, and collects the verdict.
+func (c chaosCell) check(seed int64) ChaosResult {
+	res := ChaosResult{Scenario: c.name, Plan: c.plan.Name, Seed: seed}
 	one := func() (err error, injected int64, blocked []string, digest uint64) {
-		clusterMod = func(cfg *cluster.Config) {
-			p := plan
-			cfg.FaultPlan = &p
-			cfg.FaultSeed = seed
-			cfg.Reliable = reliable
+		dt := sim.NewDigestTracer()
+		plan := c.plan
+		e := &env{cfg: cluster.Config{FaultPlan: &plan, FaultSeed: seed, Reliable: c.reliable, Auto: dt}}
+		defer e.close()
+		err = c.run(e)
+		if e.last != nil {
+			injected = e.last.Fault.Injected()
+			blocked = e.last.Eng.Stalled()
 		}
-		lastCluster = nil
-		digest = sim.Digest(func() { err = run(nil) })
-		clusterMod = nil
-		if lastCluster != nil {
-			injected = lastCluster.Fault.Injected()
-			blocked = lastCluster.Eng.Stalled()
-			lastCluster.Shutdown()
-			lastCluster = nil
-		}
-		return
+		return err, injected, blocked, dt.Sum()
 	}
 	err1, injected, blocked, d1 := one()
 	err2, _, _, d2 := one()
@@ -242,7 +192,7 @@ func chaosPattern(i int) byte { return byte(i*131>>4) ^ byte(i) }
 // size, so the staging/alignment path is exercised) and verifies every
 // received byte: under a lossy plan with the reliability sublayer on, the
 // acknowledged stream must arrive complete and intact.
-func chaosIntegrity(tc *trace.Collector) error {
+func chaosIntegrity(e *env) error {
 	const size, count = 1531, 24
 	var verr error
 	fail := func(format string, args ...any) {
@@ -250,7 +200,7 @@ func chaosIntegrity(tc *trace.Collector) error {
 			verr = fmt.Errorf(format, args...)
 		}
 	}
-	socketPair(socket.ModeDU1, tc,
+	socketPair(e, socket.ModeDU1,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			total := size * count
@@ -300,8 +250,8 @@ func chaosIntegrity(tc *trace.Collector) error {
 // (sends to it turn into vmmc.ErrPeerDead instead of silent writes through
 // freed page-table entries), transfers to the surviving node must keep
 // working, and fresh imports must still succeed — the cluster stays usable.
-func chaosCrashRecovery(tc *trace.Collector) error {
-	cl := benchCluster(tc)
+func chaosCrashRecovery(e *env) error {
+	cl := e.world(2, 2)
 	var verr error
 	fail := func(format string, args ...any) {
 		if verr == nil {
@@ -418,24 +368,10 @@ type DegradedPoint struct {
 func DegradedFig5(size, iters int, seed int64, drops []float64) []DegradedPoint {
 	var out []DegradedPoint
 	for _, d := range drops {
-		plan := fault.Plan{
-			Name: fmt.Sprintf("drop-%g%%", d*100),
-			Link: fault.LinkFaults{DropProb: d},
-		}
-		clusterMod = func(cfg *cluster.Config) {
-			cfg.FaultPlan = &plan
-			cfg.FaultSeed = seed
-			cfg.Reliable = true
-		}
-		lastCluster = nil
-		rt, bw := vrpcPingPong(sunrpc.ModeAU, size, iters, nil)
-		clusterMod = nil
-		var retrans int64
-		if lastCluster != nil {
-			retrans = lastCluster.Mesh.RelStats().Retransmits
-			lastCluster.Shutdown()
-			lastCluster = nil
-		}
+		e := lossyEnv(d, seed, nil)
+		rt, bw := vrpcPingPong(e, sunrpc.ModeAU, size, iters)
+		retrans := e.last.Mesh.RelStats().Retransmits
+		e.close()
 		out = append(out, DegradedPoint{DropPct: d * 100, RTripUS: rt, MBPerSec: bw, Retransmits: retrans})
 	}
 	return out
@@ -446,25 +382,20 @@ func DegradedFig5(size, iters int, seed int64, drops []float64) []DegradedPoint 
 // enabled, and the sublayer's retransmit count comes back alongside the
 // bandwidth (cmd/ttcp's -drop flag).
 func SocketStreamDegraded(mode socket.Mode, size, count int, perWrite, perByte time.Duration, tc *trace.Collector, drop float64, seed int64) (float64, int64) {
+	e := lossyEnv(drop, seed, tc)
+	defer e.close()
+	mbps := socketStream(e, mode, size, count, perWrite, perByte)
+	return mbps, e.last.Mesh.RelStats().Retransmits
+}
+
+// lossyEnv is an env whose worlds drop link packets with probability drop
+// and run the retransmit sublayer.
+func lossyEnv(drop float64, seed int64, tc *trace.Collector) *env {
 	plan := fault.Plan{
 		Name: fmt.Sprintf("drop-%g%%", drop*100),
 		Link: fault.LinkFaults{DropProb: drop},
 	}
-	clusterMod = func(cfg *cluster.Config) {
-		cfg.FaultPlan = &plan
-		cfg.FaultSeed = seed
-		cfg.Reliable = true
-	}
-	lastCluster = nil
-	mbps := socketStream(mode, size, count, perWrite, perByte, tc)
-	clusterMod = nil
-	var retrans int64
-	if lastCluster != nil {
-		retrans = lastCluster.Mesh.RelStats().Retransmits
-		lastCluster.Shutdown()
-		lastCluster = nil
-	}
-	return mbps, retrans
+	return &env{cfg: cluster.Config{Trace: tc, FaultPlan: &plan, FaultSeed: seed, Reliable: true}}
 }
 
 // DegradedTable renders the degraded-mode measurements.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestChaosIntegrityLossy(t *testing.T) {
 	plan := fault.Plan{Name: "lossy", Link: fault.LinkFaults{
 		DropProb: 0.005, CorruptProb: 0.005, ReorderProb: 0.005,
 	}}
-	res := chaosCase("integrity", plan, 1, true, chaosIntegrity)
+	res := chaosCell{"integrity", plan, true, chaosIntegrity}.check(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -29,7 +30,7 @@ func TestChaosNICStorm(t *testing.T) {
 	plan := fault.Plan{Name: "storm", NIC: []fault.NICFault{
 		{Node: 1, Kind: fault.FreezeStorm, At: 200 * time.Microsecond, Count: 3, Gap: 15 * time.Microsecond},
 	}}
-	res := chaosCase("integrity", plan, 1, false, chaosIntegrity)
+	res := chaosCell{"integrity", plan, false, chaosIntegrity}.check(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -39,7 +40,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 	plan := fault.Plan{Name: "crash", Crashes: []fault.Crash{
 		{Node: 2, At: 5 * time.Millisecond},
 	}}
-	res := chaosCase("crash-recovery", plan, 1, false, chaosCrashRecovery)
+	res := chaosCell{"crash-recovery", plan, false, chaosCrashRecovery}.check(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -71,7 +72,7 @@ func TestChaosPlansWellFormed(t *testing.T) {
 // replay digest.
 func TestChaosPartitionCell(t *testing.T) {
 	c := appPartitionCells()[1] // part-primary
-	res := chaosCase(c.name, fault.Plan{Name: c.name}, 1, false, chaosAppPartition(c))
+	res := chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)}.check(1)
 	if !res.OK() {
 		t.Fatalf("cell failed: %+v", res)
 	}
@@ -89,20 +90,53 @@ func TestPartitionCellsTightTimeouts(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			opts := appPartitionOpts(c)
 			opts.appCfg.CallDeadline = 3 * time.Millisecond
-			clusterMod = func(cfg *cluster.Config) {
-				cfg.FaultPlan = &fault.Plan{Name: c.name}
-				cfg.FaultSeed = 1
-				cfg.Timeouts = cluster.Timeouts{
+			e := &env{cfg: cluster.Config{
+				FaultPlan: &fault.Plan{Name: c.name},
+				FaultSeed: 1,
+				Timeouts: cluster.Timeouts{
 					DaemonRPC: 2 * time.Millisecond,
 					BindFloor: 250 * time.Millisecond,
-				}
-			}
-			err := appServe(nil, opts, nil)
-			clusterMod = nil
-			lastCluster = nil
-			if err != nil {
+				},
+			}}
+			defer e.close()
+			if err := appServe(e, opts, nil); err != nil {
 				t.Fatalf("%s under tight timeouts: %v", c.name, err)
 			}
 		})
+	}
+}
+
+// TestAppServeErrorLeavesNothingParked: a serving scenario that fails
+// before its load starts — here a partition scheduled with no fault
+// injector armed — must not leak its world. The harness's close shuts down
+// what appServe abandoned, daemons included.
+func TestAppServeErrorLeavesNothingParked(t *testing.T) {
+	e := &env{}
+	defer e.close()
+	err := appServe(e, appPartitionOpts(appPartitionCells()[1]), nil)
+	if err == nil || !strings.Contains(err.Error(), "injector is not armed") {
+		t.Fatalf("appServe without a fault plan: err = %v, want the unarmed-injector error", err)
+	}
+	world := e.last
+	if world == nil {
+		t.Fatal("appServe built no world")
+	}
+	live := func() (names []string) {
+		for _, p := range world.Eng.ProcSummaries() {
+			if !p.Done && !p.Dead {
+				names = append(names, p.Name)
+			}
+		}
+		return names
+	}
+	if len(live()) == 0 {
+		t.Fatal("the abandoned world has no live procs before close; the test proves nothing")
+	}
+	e.close()
+	if names := live(); len(names) > 0 {
+		t.Fatalf("procs still live after the env closed: %v", names)
+	}
+	if e.last != nil {
+		t.Fatal("env still holds its world after close")
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/nx"
 	"shrimp/internal/sim"
 	"shrimp/internal/socket"
@@ -15,13 +16,22 @@ import (
 // nondeterminism bug (map-order iteration, unseeded randomness, wall-clock
 // leakage) creeps back into the stack under any driver, the digests diverge.
 
+// checkDeterminism is sim.CheckDeterminism over a driver: each run gets an
+// env that attaches that run's digest fold to every world it builds.
+func checkDeterminism(t *testing.T, driver func(e *env)) {
+	t.Helper()
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
+		e := &env{cfg: cluster.Config{Auto: d}}
+		defer e.close()
+		driver(e)
+	})
+}
+
 func TestFig3VMMCDeterministic(t *testing.T) {
 	for _, strat := range []string{AU1copy, AU2copy, DU0copy, DU1copy} {
 		strat := strat
 		t.Run(strat, func(t *testing.T) {
-			sim.CheckDeterminism(t, func() {
-				VMMCPingPong(strat, 64, 4)
-			})
+			checkDeterminism(t, func(e *env) { vmmcPingPong(e, strat, 64, 4) })
 		})
 	}
 }
@@ -30,9 +40,7 @@ func TestFig5VRPCDeterministic(t *testing.T) {
 	for _, mode := range []sunrpc.Mode{sunrpc.ModeAU, sunrpc.ModeDU} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			sim.CheckDeterminism(t, func() {
-				VRPCPingPong(mode, 64, 4)
-			})
+			checkDeterminism(t, func(e *env) { vrpcPingPong(e, mode, 64, 4) })
 		})
 	}
 }
@@ -41,9 +49,7 @@ func TestFig7SocketDeterministic(t *testing.T) {
 	for _, mode := range []socket.Mode{socket.ModeAU2, socket.ModeDU1, socket.ModeDU2} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			sim.CheckDeterminism(t, func() {
-				SocketPingPong(mode, 64, 4)
-			})
+			checkDeterminism(t, func(e *env) { socketPingPong(e, mode, 64, 4) })
 		})
 	}
 }
@@ -51,7 +57,5 @@ func TestFig7SocketDeterministic(t *testing.T) {
 // TestFig4NXDeterministic covers the NX library path, whose receive scan
 // iterated a map before the connList fix.
 func TestFig4NXDeterministic(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
-		NXPingPong(nx.ProtoDefault, 64, 4)
-	})
+	checkDeterminism(t, func(e *env) { nxPingPong(e, nx.ProtoDefault, 64, 4) })
 }

@@ -218,6 +218,11 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 		}
 		return c
 	}
+	e := &env{
+		cfg:     cluster.Config{FaultPlan: &plan, FaultSeed: 1, Auto: dt},
+		provide: provide,
+	}
+	defer e.close()
 
 	for _, victim := range victims {
 		opts := chaosAppOpts()
@@ -230,18 +235,7 @@ func runElasticRollingOnce() (ElasticRollingResult, error) {
 		opts.CrashAt = 3 * time.Millisecond
 		opts.RestartAfter = 6 * time.Millisecond
 		var stats AppServeStats
-		var err error
-		env := withEnvProvide(func(cfg *cluster.Config) {
-			p := plan
-			cfg.FaultPlan = &p
-			cfg.FaultSeed = 1
-			cfg.Auto = dt
-		}, provide, func() { err = appServe(nil, opts, &stats) })
-		if env.last != nil {
-			env.last.Shutdown()
-			env.last = nil
-		}
-		if err != nil {
+		if err := appServe(e, opts, &stats); err != nil {
 			return res, fmt.Errorf("round victim=%d: %w", victim, err)
 		}
 		if stats.Failovers == 0 {

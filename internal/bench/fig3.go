@@ -7,7 +7,6 @@ import (
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
 
@@ -42,14 +41,16 @@ var Fig3Strategies = []string{AU1copy, AU2copy, DU0copy, DU1copy}
 // VMMCPingPong measures one strategy at one message size over iters
 // round trips and returns one-way latency (us) and bandwidth (MB/s).
 func VMMCPingPong(strategy string, size, iters int) (float64, float64) {
-	return vmmcPingPong(strategy, size, iters, nil)
+	e := &env{}
+	defer e.close()
+	return vmmcPingPong(e, strategy, size, iters)
 }
 
-func vmmcPingPong(strategy string, size, iters int, tc *trace.Collector) (float64, float64) {
+func vmmcPingPong(e *env, strategy string, size, iters int) (float64, float64) {
 	if size%hw.WordSize != 0 {
 		panic("vmmc ping-pong sizes must be word multiples")
 	}
-	c := benchCluster(tc)
+	c := e.world(2, 2)
 	pages := (size+4)/hw.Page + 2
 
 	ready := sim.NewCond(c.Eng)
@@ -142,7 +143,6 @@ func vmmcPingPong(strategy string, size, iters int, tc *trace.Collector) (float6
 	c.Spawn(0, "ping", side(0, 1))
 	c.Spawn(1, "pong", side(1, 0))
 	c.Run()
-	releaseCluster(c)
 
 	total := end.Sub(start).Seconds()
 	lat := total / float64(2*iters) * 1e6
@@ -152,6 +152,12 @@ func vmmcPingPong(strategy string, size, iters int, tc *trace.Collector) (float6
 
 // Fig3 regenerates Figure 3 over the paper's size sweeps.
 func Fig3(iters int) *Figure {
+	e := &env{}
+	defer e.close()
+	return fig3(e, iters)
+}
+
+func fig3(e *env, iters int) *Figure {
 	f := &Figure{
 		ID:    "fig3",
 		Title: "Latency and bandwidth delivered by the SHRIMP VMMC layer",
@@ -160,7 +166,7 @@ func Fig3(iters int) *Figure {
 	for _, strat := range Fig3Strategies {
 		s := Series{Label: strat}
 		for _, size := range AllSizes() {
-			lat, bw := VMMCPingPong(strat, size, iters)
+			lat, bw := vmmcPingPong(e, strat, size, iters)
 			s.Points = append(s.Points, Point{Size: size, LatencyUS: lat, MBPerSec: bw})
 		}
 		f.Serie = append(f.Serie, s)

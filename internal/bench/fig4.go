@@ -7,7 +7,6 @@ import (
 	"shrimp/internal/kernel"
 	"shrimp/internal/nx"
 	"shrimp/internal/sim"
-	"shrimp/internal/trace"
 )
 
 // Figure 4: NX latency and bandwidth. Five protocol variants, as in the
@@ -22,11 +21,13 @@ var Fig4Variants = []nx.Proto{nx.ProtoAU1, nx.ProtoAU2, nx.ProtoDU0, nx.ProtoDU1
 // NXPingPong measures NX csend/crecv round trips at one size under one
 // protocol variant, returning one-way latency (us) and bandwidth (MB/s).
 func NXPingPong(proto nx.Proto, size, iters int) (float64, float64) {
-	return nxPingPong(proto, size, iters, nil)
+	e := &env{}
+	defer e.close()
+	return nxPingPong(e, proto, size, iters)
 }
 
-func nxPingPong(proto nx.Proto, size, iters int, tc *trace.Collector) (float64, float64) {
-	c := benchCluster(tc)
+func nxPingPong(e *env, proto nx.Proto, size, iters int) (float64, float64) {
+	c := e.world(2, 2)
 	var start, end sim.Time
 	const typPing, typPong = 1, 2
 
@@ -65,7 +66,6 @@ func nxPingPong(proto nx.Proto, size, iters int, tc *trace.Collector) (float64, 
 	c.Spawn(0, "ping", side(0, 1))
 	c.Spawn(1, "pong", side(1, 0))
 	c.Run()
-	releaseCluster(c)
 
 	total := end.Sub(start).Seconds()
 	lat := total / float64(2*iters) * 1e6
@@ -75,6 +75,12 @@ func nxPingPong(proto nx.Proto, size, iters int, tc *trace.Collector) (float64, 
 
 // Fig4 regenerates Figure 4 over the paper's sweeps.
 func Fig4(iters int) *Figure {
+	e := &env{}
+	defer e.close()
+	return fig4(e, iters)
+}
+
+func fig4(e *env, iters int) *Figure {
 	f := &Figure{
 		ID:    "fig4",
 		Title: "NX latency and bandwidth",
@@ -83,14 +89,14 @@ func Fig4(iters int) *Figure {
 	for _, proto := range Fig4Variants {
 		s := Series{Label: proto.String()}
 		for _, size := range AllSizes() {
-			lat, bw := NXPingPong(proto, size, iters)
+			lat, bw := nxPingPong(e, proto, size, iters)
 			s.Points = append(s.Points, Point{Size: size, LatencyUS: lat, MBPerSec: bw})
 		}
 		f.Serie = append(f.Serie, s)
 	}
 	s := Series{Label: "default"}
 	for _, size := range AllSizes() {
-		lat, bw := NXPingPong(nx.ProtoDefault, size, iters)
+		lat, bw := nxPingPong(e, nx.ProtoDefault, size, iters)
 		s.Points = append(s.Points, Point{Size: size, LatencyUS: lat, MBPerSec: bw})
 	}
 	f.Serie = append(f.Serie, s)

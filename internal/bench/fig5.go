@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"shrimp/internal/cluster"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
 	"shrimp/internal/sunrpc"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 	"shrimp/internal/xdr"
 )
@@ -45,11 +43,13 @@ func fig5Program() *sunrpc.Program {
 // VRPCPingPong measures `iters` echo calls of the given argument/result
 // size and returns (roundtrip latency us, bandwidth MB/s).
 func VRPCPingPong(mode sunrpc.Mode, size, iters int) (float64, float64) {
-	return vrpcPingPong(mode, size, iters, nil)
+	e := &env{}
+	defer e.close()
+	return vrpcPingPong(e, mode, size, iters)
 }
 
-func vrpcPingPong(mode sunrpc.Mode, size, iters int, tc *trace.Collector) (float64, float64) {
-	c := benchCluster(tc)
+func vrpcPingPong(e *env, mode sunrpc.Mode, size, iters int) (float64, float64) {
+	c := e.world(2, 2)
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time
@@ -98,7 +98,6 @@ func vrpcPingPong(mode sunrpc.Mode, size, iters int, tc *trace.Collector) (float
 		end = p.P.Now()
 	})
 	c.Run()
-	releaseCluster(c)
 	total := end.Sub(start).Seconds()
 	rt := total / float64(iters) * 1e6
 	bw := float64(2*iters*size) / total / 1e6
@@ -107,6 +106,12 @@ func vrpcPingPong(mode sunrpc.Mode, size, iters int, tc *trace.Collector) (float
 
 // Fig5 regenerates Figure 5.
 func Fig5(iters int) *Figure {
+	e := &env{}
+	defer e.close()
+	return fig5(e, iters)
+}
+
+func fig5(e *env, iters int) *Figure {
 	f := &Figure{
 		ID:    "fig5",
 		Title: "VRPC latency (roundtrip) and bandwidth",
@@ -115,7 +120,7 @@ func Fig5(iters int) *Figure {
 	for _, mode := range []sunrpc.Mode{sunrpc.ModeDU, sunrpc.ModeAU} {
 		s := Series{Label: mode.String()}
 		for _, size := range AllSizes() {
-			rt, bw := VRPCPingPong(mode, size, iters)
+			rt, bw := vrpcPingPong(e, mode, size, iters)
 			s.Points = append(s.Points, Point{Size: size, LatencyUS: rt, MBPerSec: bw})
 		}
 		f.Serie = append(f.Serie, s)
@@ -135,9 +140,11 @@ type RPCBaseline struct {
 // RunRPCBaseline measures both null-RPC roundtrips.
 func RunRPCBaseline() RPCBaseline {
 	var r RPCBaseline
-	r.SBLNullUS, _ = VRPCPingPong(sunrpc.ModeAU, 4, 12)
+	e := &env{}
+	defer e.close()
+	r.SBLNullUS, _ = vrpcPingPong(e, sunrpc.ModeAU, 4, 12)
 
-	c := cluster.Default()
+	c := e.world(2, 2)
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time
@@ -173,7 +180,6 @@ func RunRPCBaseline() RPCBaseline {
 		end = p.P.Now()
 	})
 	c.Run()
-	releaseCluster(c)
 	r.EtherNullUS = end.Sub(start).Seconds() / iters * 1e6
 	r.Speedup = r.EtherNullUS / r.SBLNullUS
 	return r

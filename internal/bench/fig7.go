@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/sim"
@@ -18,8 +19,8 @@ import (
 var Fig7Modes = []socket.Mode{socket.ModeAU2, socket.ModeDU1, socket.ModeDU2}
 
 // socketPair runs server/client bodies over one established connection.
-func socketPair(mode socket.Mode, tc *trace.Collector, server, client func(c *socket.Conn, p *kernel.Process)) {
-	cl := benchCluster(tc)
+func socketPair(e *env, mode socket.Mode, server, client func(c *socket.Conn, p *kernel.Process)) {
+	cl := e.world(2, 2)
 	cl.Spawn(1, "server", func(p *kernel.Process) {
 		ep := vmmc.Attach(p, cl.Node(1).Daemon)
 		lib := socket.New(ep, cl.Ether, 1, mode)
@@ -40,18 +41,19 @@ func socketPair(mode socket.Mode, tc *trace.Collector, server, client func(c *so
 		client(conn, p)
 	})
 	cl.Run()
-	releaseCluster(cl)
 }
 
 // SocketPingPong measures one-way latency (us) and ping-pong bandwidth
 // (MB/s) at one message size.
 func SocketPingPong(mode socket.Mode, size, iters int) (float64, float64) {
-	return socketPingPong(mode, size, iters, nil)
+	e := &env{}
+	defer e.close()
+	return socketPingPong(e, mode, size, iters)
 }
 
-func socketPingPong(mode socket.Mode, size, iters int, tc *trace.Collector) (float64, float64) {
+func socketPingPong(e *env, mode socket.Mode, size, iters int) (float64, float64) {
 	var start, end sim.Time
-	socketPair(mode, tc,
+	socketPair(e, mode,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			for i := 0; i < iters+1; i++ {
@@ -99,18 +101,20 @@ func socketPingPong(mode socket.Mode, size, iters int, tc *trace.Collector) (flo
 // perWriteOverhead and perByteOverhead model the measuring application's
 // own costs (zero for the library microbenchmark; nonzero for ttcp).
 func SocketStream(mode socket.Mode, size, count int, perWriteOverhead time.Duration, perByte time.Duration) float64 {
-	return socketStream(mode, size, count, perWriteOverhead, perByte, nil)
+	return SocketStreamTraced(mode, size, count, perWriteOverhead, perByte, nil)
 }
 
 // SocketStreamTraced is SocketStream with an observability collector
 // attached to the cluster (cmd/ttcp's -trace/-stats). tc may be nil.
 func SocketStreamTraced(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector) float64 {
-	return socketStream(mode, size, count, perWriteOverhead, perByte, tc)
+	e := &env{cfg: cluster.Config{Trace: tc}}
+	defer e.close()
+	return socketStream(e, mode, size, count, perWriteOverhead, perByte)
 }
 
-func socketStream(mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration, tc *trace.Collector) float64 {
+func socketStream(e *env, mode socket.Mode, size, count int, perWriteOverhead, perByte time.Duration) float64 {
 	var start, end sim.Time
-	socketPair(mode, tc,
+	socketPair(e, mode,
 		func(c *socket.Conn, p *kernel.Process) {
 			buf := p.Alloc(size+8, hw.WordSize)
 			total := size * count
@@ -153,6 +157,12 @@ func socketStream(mode socket.Mode, size, count int, perWriteOverhead, perByte t
 
 // Fig7 regenerates Figure 7.
 func Fig7(iters int) *Figure {
+	e := &env{}
+	defer e.close()
+	return fig7(e, iters)
+}
+
+func fig7(e *env, iters int) *Figure {
 	f := &Figure{
 		ID:    "fig7",
 		Title: "Socket latency and bandwidth",
@@ -161,7 +171,7 @@ func Fig7(iters int) *Figure {
 	for _, mode := range Fig7Modes {
 		s := Series{Label: mode.String()}
 		for _, size := range AllSizes() {
-			lat, bw := SocketPingPong(mode, size, iters)
+			lat, bw := socketPingPong(e, mode, size, iters)
 			s.Points = append(s.Points, Point{Size: size, LatencyUS: lat, MBPerSec: bw})
 		}
 		f.Serie = append(f.Serie, s)

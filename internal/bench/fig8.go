@@ -6,7 +6,6 @@ import (
 	"shrimp/internal/srpc"
 	"shrimp/internal/srpc/srpctest"
 	"shrimp/internal/sunrpc"
-	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
 
@@ -22,11 +21,13 @@ import (
 // SRPCNull measures the specialized system's null-with-INOUT roundtrip
 // (microseconds) at the given argument size.
 func SRPCNull(size, iters int) float64 {
-	return srpcNull(size, iters, nil)
+	e := &env{}
+	defer e.close()
+	return srpcNull(e, size, iters)
 }
 
-func srpcNull(size, iters int, tc *trace.Collector) float64 {
-	c := benchCluster(tc)
+func srpcNull(e *env, size, iters int) float64 {
+	c := e.world(2, 2)
 	up := false
 	ready := sim.NewCond(c.Eng)
 	var start, end sim.Time
@@ -60,7 +61,6 @@ func srpcNull(size, iters int, tc *trace.Collector) float64 {
 		end = p.P.Now()
 	})
 	c.Run()
-	releaseCluster(c)
 	return end.Sub(start).Seconds() / float64(iters) * 1e6
 }
 
@@ -75,6 +75,12 @@ func (nullServer) Sum(srpc.View) uint64                { return 0 }
 
 // Fig8 regenerates Figure 8: roundtrip vs INOUT size for both systems.
 func Fig8(iters int) *Figure {
+	e := &env{}
+	defer e.close()
+	return fig8(e, iters)
+}
+
+func fig8(e *env, iters int) *Figure {
 	f := &Figure{
 		ID:    "fig8",
 		Title: "Null RPC roundtrip vs INOUT argument size: compatible vs non-compatible",
@@ -88,9 +94,9 @@ func Fig8(iters int) *Figure {
 		if sz == 0 {
 			sz = 4 // VRPC echo needs a word; the paper's 0-size point is the null call
 		}
-		rt, _ := VRPCPingPong(sunrpc.ModeAU, sz, iters)
+		rt, _ := vrpcPingPong(e, sunrpc.ModeAU, sz, iters)
 		compat.Points = append(compat.Points, Point{Size: size, LatencyUS: rt})
-		noncompat.Points = append(noncompat.Points, Point{Size: size, LatencyUS: SRPCNull(size, iters)})
+		noncompat.Points = append(noncompat.Points, Point{Size: size, LatencyUS: srpcNull(e, size, iters)})
 	}
 	f.Serie = []Series{compat, noncompat}
 	return f

@@ -76,17 +76,13 @@ func measure(name string, iters int, op func() int64) BenchResult {
 	return r
 }
 
-// countingEnv runs fn with a worker-local env that attaches a replay-digest
-// tracer to every cluster engine fn builds, returning the total events
-// executed. mod, when non-nil, further rewrites each cluster config.
-func countingEnv(mod func(*cluster.Config), fn func()) int64 {
+// countEvents runs fn on an env that attaches a replay-digest tracer to
+// every world fn builds, and returns the total events executed.
+func countEvents(fn func(e *env)) int64 {
 	dt := sim.NewDigestTracer()
-	withEnv(func(cfg *cluster.Config) {
-		if mod != nil {
-			mod(cfg)
-		}
-		cfg.Auto = dt
-	}, fn)
+	e := &env{cfg: cluster.Config{Auto: dt}}
+	defer e.close()
+	fn(e)
 	return dt.Events
 }
 
@@ -176,18 +172,18 @@ func RunPerfSuite(figIters int) BenchReport {
 
 	// --- end-to-end figures ---
 	add(measure("fig3/e2e", 1, func() int64 {
-		return countingEnv(nil, func() { Fig3(figIters) })
+		return countEvents(func(e *env) { fig3(e, figIters) })
 	}))
 	add(measure("fig5/e2e", 1, func() int64 {
-		return countingEnv(nil, func() { Fig5(figIters) })
+		return countEvents(func(e *env) { fig5(e, figIters) })
 	}))
 	add(measure("figures/all", 1, func() int64 {
-		return countingEnv(nil, func() {
-			Fig3(figIters)
-			Fig4(figIters)
-			Fig5(figIters)
-			Fig7(figIters)
-			Fig8(figIters)
+		return countEvents(func(e *env) {
+			fig3(e, figIters)
+			fig4(e, figIters)
+			fig5(e, figIters)
+			fig7(e, figIters)
+			fig8(e, figIters)
 		})
 	}))
 	add(measure("figures/all-parallel", 1, func() int64 {
@@ -199,8 +195,8 @@ func RunPerfSuite(figIters int) BenchReport {
 
 	// --- serving workload ---
 	add(measure("app/serve", 1, func() int64 {
-		return countingEnv(nil, func() {
-			err := appServe(nil, AppServeOpts{
+		return countEvents(func(e *env) {
+			err := appServe(e, AppServeOpts{
 				MeshX: 2, MeshY: 2,
 				Sessions: 1 << 14,
 				Rate:     2e6,
@@ -215,7 +211,7 @@ func RunPerfSuite(figIters int) BenchReport {
 
 	add(measure("app/partition-cell", 1, func() int64 {
 		c := appPartitionCells()[1] // part-primary
-		res := chaosCaseEnv(c.name, fault.Plan{Name: c.name}, 1, false, chaosAppPartition(c))
+		res := chaosCell{c.name, fault.Plan{Name: c.name}, false, chaosAppPartition(c)}.check(1)
 		if !res.OK() {
 			panic("partition cell failed: " + res.Detail)
 		}
@@ -225,20 +221,20 @@ func RunPerfSuite(figIters int) BenchReport {
 	// --- chaos ---
 	add(measure("chaos/cell", 1, func() int64 {
 		plan := StandardChaosPlans()[1] // drop-1%
-		res := chaosCaseEnv("fig3", plan, 1, true, scenarioRunner("fig3"))
+		res := chaosCell{"fig3", plan, true, scenarioRunner("fig3")}.check(1)
 		if !res.OK() {
 			panic("chaos cell failed: " + res.Detail)
 		}
 		return 0
 	}))
 	add(measure("chaos/soak", 1, func() int64 {
-		if !ChaosOK(RunChaos(1)) {
+		if !ChaosOK(RunChaos(1, 1)) {
 			panic("chaos soak failed")
 		}
 		return 0
 	}))
 	add(measure("chaos/soak-parallel", 1, func() int64 {
-		if !ChaosOK(RunChaosParallel(1, Workers())) {
+		if !ChaosOK(RunChaos(1, Workers())) {
 			panic("chaos soak failed")
 		}
 		return 0

@@ -6,12 +6,10 @@ import (
 	"math"
 	"strings"
 
-	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
 	"shrimp/internal/nx"
 	"shrimp/internal/svm"
-	"shrimp/internal/trace"
 )
 
 // SVM-vs-message-passing: the same 1-D Jacobi stencil as examples/nx-jacobi,
@@ -33,13 +31,6 @@ func meshFor(n int) (int, int) {
 	default:
 		return 2, 2
 	}
-}
-
-// jacobiCluster builds an n-node system, honoring the chaos harness's
-// config hook like every other figure driver.
-func jacobiCluster(n int, tc *trace.Collector) *cluster.Cluster {
-	x, y := meshFor(n)
-	return buildCluster(cluster.Config{MeshX: x, MeshY: y, Trace: tc})
 }
 
 // JacobiResult is one run of the stencil under either communication layer.
@@ -70,15 +61,15 @@ func JacobiReference(cells, sweeps int) []float64 {
 	return u[1 : cells+1]
 }
 
-// NXJacobi runs the stencil over NX halo exchange (csend/crecv ghosts,
+// nxJacobi runs the stencil over NX halo exchange (csend/crecv ghosts,
 // gdsum residual every tenth sweep) — the message-passing baseline.
-func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
+func nxJacobi(e *env, nodes, cells, sweeps int) JacobiResult {
 	if cells%nodes != 0 {
 		panic(fmt.Sprintf("bench: %d cells not divisible by %d nodes", cells, nodes))
 	}
 	local := cells / nodes
 	const typLeft, typRight = 100, 101
-	c := jacobiCluster(nodes, tc)
+	c := e.world(meshFor(nodes))
 	strips := make([][]float64, nodes)
 	perSweep := make([]float64, nodes)
 
@@ -141,7 +132,6 @@ func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	res := JacobiResult{Nodes: nodes, Cells: cells, Sweeps: sweeps, PerSweepUS: perSweep[0]}
 	for _, s := range strips {
 		res.Final = append(res.Final, s...)
@@ -149,12 +139,12 @@ func NXJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 	return res
 }
 
-// SVMJacobi runs the stencil on a shared region: each node's strips are
+// svmJacobi runs the stencil on a shared region: each node's strips are
 // homed at that node (writes are home-local), neighbor ghost reads fault
 // and fetch the adjacent strip's edge page each sweep, and a barrier per
 // sweep carries the release/acquire coherence. The residual reduction goes
 // through a per-node slot page homed at node 0.
-func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
+func svmJacobi(e *env, nodes, cells, sweeps int) JacobiResult {
 	if cells%nodes != 0 {
 		panic(fmt.Sprintf("bench: %d cells not divisible by %d nodes", cells, nodes))
 	}
@@ -169,7 +159,7 @@ func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		}
 		return 0
 	}
-	c := jacobiCluster(nodes, tc)
+	c := e.world(meshFor(nodes))
 	strips := make([][]float64, nodes)
 	perSweep := make([]float64, nodes)
 	fetches := make([]int64, nodes)
@@ -261,7 +251,6 @@ func SVMJacobi(nodes, cells, sweeps int, tc *trace.Collector) JacobiResult {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	res := JacobiResult{Nodes: nodes, Cells: cells, Sweeps: sweeps, PerSweepUS: perSweep[0]}
 	for _, s := range strips {
 		res.Final = append(res.Final, s...)
@@ -285,10 +274,12 @@ type JacobiCompareRow struct {
 
 // JacobiCompare runs both versions at each node count.
 func JacobiCompare(cells, sweeps int, nodeCounts []int) []JacobiCompareRow {
+	e := &env{}
+	defer e.close()
 	var rows []JacobiCompareRow
 	for _, n := range nodeCounts {
-		nxr := NXJacobi(n, cells, sweeps, nil)
-		svr := SVMJacobi(n, cells, sweeps, nil)
+		nxr := nxJacobi(e, n, cells, sweeps)
+		svr := svmJacobi(e, n, cells, sweeps)
 		rows = append(rows, JacobiCompareRow{
 			Nodes:         n,
 			NXPerSweepUS:  nxr.PerSweepUS,
@@ -334,15 +325,15 @@ func JacobiTable(rows []JacobiCompareRow, cells, sweeps int) string {
 // chaos soak: a short stencil run plus a lock-protected shared counter,
 // with both results verified — under a fault plan, termination alone is
 // not enough, the answers must still be right.
-func svmJacobiVerified(tc *trace.Collector) (JacobiResult, error) {
+func svmJacobiVerified(e *env) (JacobiResult, error) {
 	const nodes, cells, sweeps, lockRounds = 4, 64, 12, 3
-	res := SVMJacobi(nodes, cells, sweeps, tc)
+	res := svmJacobi(e, nodes, cells, sweeps)
 	if ref := JacobiReference(cells, sweeps); !vectorsEqual(res.Final, ref) {
 		return res, fmt.Errorf("svm-jacobi diverged from the sequential reference")
 	}
 
 	// Lock phase: concurrent read-modify-write under svm.Lock.
-	c := jacobiCluster(nodes, tc)
+	c := e.world(meshFor(nodes))
 	counters := make([]uint32, nodes)
 	for node := 0; node < nodes; node++ {
 		node := node
@@ -360,7 +351,6 @@ func svmJacobiVerified(tc *trace.Collector) (JacobiResult, error) {
 		})
 	}
 	c.Run()
-	c.Shutdown()
 	for node, v := range counters {
 		if v != nodes*lockRounds {
 			return res, fmt.Errorf("svm lock counter on node %d: got %d, want %d", node, v, nodes*lockRounds)

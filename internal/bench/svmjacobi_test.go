@@ -6,7 +6,6 @@ import (
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/fault"
-	"shrimp/internal/sim"
 )
 
 // TestSVMJacobiMatchesNX is the acceptance bar for the SVM benchmark: the
@@ -15,9 +14,11 @@ import (
 func TestSVMJacobiMatchesNX(t *testing.T) {
 	const cells, sweeps = 64, 25
 	ref := JacobiReference(cells, sweeps)
+	e := &env{}
+	defer e.close()
 	for _, nodes := range []int{2, 4, 8} {
-		nxr := NXJacobi(nodes, cells, sweeps, nil)
-		svr := SVMJacobi(nodes, cells, sweeps, nil)
+		nxr := nxJacobi(e, nodes, cells, sweeps)
+		svr := svmJacobi(e, nodes, cells, sweeps)
 		if !vectorsEqual(nxr.Final, ref) {
 			t.Errorf("%d nodes: NX diverged from sequential reference", nodes)
 		}
@@ -39,9 +40,7 @@ func TestSVMJacobiMatchesNX(t *testing.T) {
 
 // TestSVMJacobiDeterminism: the whole benchmark scenario is digest-stable.
 func TestSVMJacobiDeterminism(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
-		SVMJacobi(4, 64, 12, nil)
-	})
+	checkDeterminism(t, func(e *env) { svmJacobi(e, 4, 64, 12) })
 }
 
 // TestSVMJacobiUnderDrops: the benchmark terminates with correct results on
@@ -49,22 +48,14 @@ func TestSVMJacobiDeterminism(t *testing.T) {
 func TestSVMJacobiUnderDrops(t *testing.T) {
 	const cells, sweeps = 64, 40
 	plan := fault.Plan{Name: "drop-0.1%", Link: fault.LinkFaults{DropProb: 0.001}}
-	clusterMod = func(cfg *cluster.Config) {
-		cfg.FaultPlan = &plan
-		cfg.FaultSeed = 11
-		cfg.Reliable = true
-	}
-	defer func() { clusterMod = nil }()
-	res := SVMJacobi(4, cells, sweeps, nil)
+	e := &env{cfg: cluster.Config{FaultPlan: &plan, FaultSeed: 11, Reliable: true}}
+	defer e.close()
+	res := svmJacobi(e, 4, cells, sweeps)
 	if !vectorsEqual(res.Final, JacobiReference(cells, sweeps)) {
 		t.Error("SVM result wrong under lossy links")
 	}
-	if lastCluster != nil {
-		if lastCluster.Fault.Injected() == 0 {
-			t.Error("fault plan injected nothing; test proved nothing")
-		}
-		lastCluster.Shutdown()
-		lastCluster = nil
+	if e.last.Fault.Injected() == 0 {
+		t.Error("fault plan injected nothing; test proved nothing")
 	}
 }
 
@@ -73,7 +64,7 @@ func TestSVMJacobiUnderDrops(t *testing.T) {
 func TestSVMChaosScenario(t *testing.T) {
 	for _, plan := range StandardChaosPlans() {
 		reliable := plan.Link != (fault.LinkFaults{})
-		res := chaosCase("svm", plan, 3, reliable, scenarioRunner("svm"))
+		res := chaosCell{"svm", plan, reliable, scenarioRunner("svm")}.check(3)
 		if !res.OK() {
 			t.Errorf("svm under %s: %s", plan.Name, res.Detail)
 		}

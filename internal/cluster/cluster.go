@@ -58,21 +58,15 @@ type Config struct {
 	// construction backplane the paper assumes.
 	Reliable bool
 
-	// Auto, when non-nil, is composed into the engine's automatic tracer
-	// exactly as a sim.Digest-installed tracer would be. Parallel scenario
-	// runners use it to attach a per-engine replay digest without going
-	// through sim's process-global hook.
+	// Auto, when non-nil, is attached to the engine at construction with
+	// Engine.AttachDigest, so it observes the world from its first event:
+	// the way a scenario hands its replay-digest fold to every world it
+	// builds.
 	Auto sim.Tracer
 
 	// Timeouts tunes the failure-detection timing constants; zero fields
 	// take the documented defaults.
 	Timeouts Timeouts
-
-	// Detached builds the cluster on a detached engine: one that ignores the
-	// process-global sim.Digest hook. Background world builders (the snap
-	// pool's prebuilders) set it so a concurrently open digest window in the
-	// foreground never observes — or races on — their boot events.
-	Detached bool
 }
 
 // Timeouts gathers the cluster-wide failure-detection timing knobs that
@@ -173,12 +167,7 @@ func New(cfg Config) *Cluster {
 			panic("cluster: invalid fault plan: " + err.Error())
 		}
 	}
-	var eng *sim.Engine
-	if cfg.Detached {
-		eng = sim.NewDetachedEngine()
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	if cfg.Auto != nil {
 		eng.AttachDigest(cfg.Auto)
 	}

@@ -67,8 +67,8 @@ func TestFaultedRunDeterministic(t *testing.T) {
 			{Node: 1, Kind: fault.FreezeStorm, At: 100 * time.Microsecond, Count: 3, Gap: 10 * time.Microsecond},
 		},
 	}
-	sim.CheckDeterminism(t, func() {
-		cl := New(Config{FaultPlan: &plan, FaultSeed: 3, Reliable: true})
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
+		cl := New(Config{FaultPlan: &plan, FaultSeed: 3, Reliable: true, Auto: d})
 		defer cl.Shutdown()
 		transfer(cl, 40, 5*time.Microsecond)
 		cl.Run()

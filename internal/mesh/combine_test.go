@@ -128,8 +128,9 @@ func TestCombineConcurrentOps(t *testing.T) {
 // TestCombineDeterministicDigest: the combining tree's full event stream —
 // channel reservations included — replays bit-for-bit.
 func TestCombineDeterministicDigest(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
 		e := sim.NewEngine()
+		e.AttachDigest(d)
 		n := NewDims(e, []int{2, 3, 2})
 		n.EnableCombining()
 		combineAll(e, n, CombFSum, 3,

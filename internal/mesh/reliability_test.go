@@ -137,8 +137,9 @@ func TestReliabilityZeroFaultZeroPerturbation(t *testing.T) {
 // TestReliabilityDeterministic: the faulted schedule itself must replay —
 // the acceptance criterion behind sim.CheckDeterminism with injection on.
 func TestReliabilityDeterministic(t *testing.T) {
-	scenario := func() {
+	scenario := func(d sim.Tracer) {
 		e := sim.NewEngine()
+		e.AttachDigest(d)
 		n := New(e, 2, 2)
 		n.EnableReliability(RelConfig{})
 		n.SetInjector(fault.NewInjector(11, fault.Plan{Link: fault.LinkFaults{

@@ -103,8 +103,8 @@ func TestGdsumOrderDeterminism(t *testing.T) {
 // TestGdsumDeterministicDigest: the reduction's full event stream is
 // replay-stable, not just its numeric result.
 func TestGdsumDeterministicDigest(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
-		c := cluster.New(cluster.Config{MeshX: 2, MeshY: 2})
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
+		c := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, Auto: d})
 		defer c.Shutdown()
 		for i := 0; i < 4; i++ {
 			i := i

@@ -80,8 +80,8 @@ func TestDeepPipelineCollectives(t *testing.T) {
 // the replay-digest check. This is the geometry class the eager O(N²)
 // connection setup made unaffordable.
 func TestNonPowerOfTwoLazyDeterminism(t *testing.T) {
-	scenario := func() {
-		cfg := cluster.Config{MeshDims: []int{4, 4, 5}, MemBytes: 8 << 20}
+	scenario := func(d sim.Tracer) {
+		cfg := cluster.Config{MeshDims: []int{4, 4, 5}, MemBytes: 8 << 20, Auto: d}
 		runWorld(t, cfg, 80, Config{Lazy: true}, func(nx *NX, p *kernel.Process, me int) {
 			if got, want := nx.Gisum(int64(me)), int64(80*79/2); got != want {
 				t.Errorf("node %d: gisum = %d, want %d", me, got, want)
@@ -179,8 +179,8 @@ func TestCombiningFasterThanSoftware(t *testing.T) {
 // TestCombiningDeterministicDigest: the combining fast path replays
 // bit-for-bit at the full-cluster level.
 func TestCombiningDeterministicDigest(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
-		cfg := cluster.Config{MeshDims: []int{2, 2, 2}, Combining: true}
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
+		cfg := cluster.Config{MeshDims: []int{2, 2, 2}, Combining: true, Auto: d}
 		c := cluster.New(cfg)
 		defer c.Shutdown()
 		for i := 0; i < 8; i++ {

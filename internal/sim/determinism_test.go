@@ -2,14 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// toyScenario builds a small engine with interacting procs and timers and
-// runs it to completion.
-func toyScenario() {
+// toyScenario builds a small engine with interacting procs and timers,
+// attaches d, and runs it to completion.
+func toyScenario(d Tracer) {
 	e := NewEngine()
+	e.AttachDigest(d)
 	c := NewCond(e)
 	total := 0
 	for i := 0; i < 3; i++ {
@@ -32,47 +34,50 @@ func toyScenario() {
 	e.Shutdown()
 }
 
+// digestOf runs scenario once with a fresh fold and returns its sum.
+func digestOf(scenario func(d Tracer)) uint64 {
+	d := NewDigestTracer()
+	scenario(d)
+	return d.Sum()
+}
+
+// oneEvent builds an engine, attaches d, and runs a single event at.
+func oneEvent(d Tracer, at time.Duration) {
+	e := NewEngine()
+	e.AttachDigest(d)
+	e.Schedule(at, func() {})
+	e.RunAll()
+}
+
 func TestCheckDeterminismPasses(t *testing.T) {
 	CheckDeterminism(t, toyScenario)
 }
 
 func TestDigestObservesExecution(t *testing.T) {
-	d := Digest(toyScenario)
+	d := digestOf(toyScenario)
 	if d == 0 || d == fnvOffset64 {
 		t.Fatalf("digest %#x looks like nothing was hashed", d)
 	}
-	if Digest(toyScenario) != d {
+	if digestOf(toyScenario) != d {
 		t.Fatal("identical scenario produced different digests")
 	}
 }
 
 func TestDigestDistinguishesSchedules(t *testing.T) {
-	a := Digest(func() {
-		e := NewEngine()
-		e.Schedule(time.Microsecond, func() {})
-		e.RunAll()
-	})
-	b := Digest(func() {
-		e := NewEngine()
-		e.Schedule(2*time.Microsecond, func() {})
-		e.RunAll()
-	})
+	a := digestOf(func(d Tracer) { oneEvent(d, time.Microsecond) })
+	b := digestOf(func(d Tracer) { oneEvent(d, 2*time.Microsecond) })
 	if a == b {
 		t.Fatal("different event times hashed to the same digest")
 	}
 }
 
+// TestDigestCoversMultipleEngines: one fold attached to two engines digests
+// both of them.
 func TestDigestCoversMultipleEngines(t *testing.T) {
-	one := Digest(func() {
-		e := NewEngine()
-		e.Schedule(time.Microsecond, func() {})
-		e.RunAll()
-	})
-	two := Digest(func() {
+	one := digestOf(func(d Tracer) { oneEvent(d, time.Microsecond) })
+	two := digestOf(func(d Tracer) {
 		for i := 0; i < 2; i++ {
-			e := NewEngine()
-			e.Schedule(time.Microsecond, func() {})
-			e.RunAll()
+			oneEvent(d, time.Microsecond)
 		}
 	})
 	if one == two {
@@ -80,7 +85,7 @@ func TestDigestCoversMultipleEngines(t *testing.T) {
 	}
 }
 
-// fakeTB captures Fatalf so the divergence path can be exercised.
+// fakeTB captures Fatalf so the failure paths can be exercised.
 type fakeTB struct {
 	failed bool
 	msg    string
@@ -97,28 +102,37 @@ func TestCheckDeterminismCatchesDivergence(t *testing.T) {
 	// exactly the kind of leak the harness exists to catch.
 	skew := time.Microsecond
 	f := &fakeTB{}
-	CheckDeterminism(f, func() {
-		e := NewEngine()
-		e.Schedule(skew, func() {})
+	CheckDeterminism(f, func(d Tracer) {
+		oneEvent(d, skew)
 		skew += time.Microsecond
-		e.RunAll()
 	})
 	if !f.failed {
 		t.Fatal("divergent scenario was not reported")
 	}
-	if f.msg == "" {
-		t.Fatal("divergence failure carried no message")
+	if !strings.Contains(f.msg, "replay divergence") {
+		t.Fatalf("divergence failure carried the wrong message: %q", f.msg)
 	}
 }
 
-func TestDigestRestoresTracerHook(t *testing.T) {
-	Digest(func() {})
-	if autoTracer != nil {
-		t.Fatal("Digest left the auto-tracer installed")
+// TestCheckDeterminismRejectsUnattachedDigest: a scenario that builds and
+// runs an engine but never attaches the fold would compare two empty
+// digests and pass; the check must fail it instead.
+func TestCheckDeterminismRejectsUnattachedDigest(t *testing.T) {
+	runs := 0
+	f := &fakeTB{}
+	CheckDeterminism(f, func(Tracer) {
+		runs++
+		e := NewEngine()
+		e.Schedule(time.Microsecond, func() {})
+		e.RunAll()
+	})
+	if !f.failed {
+		t.Fatal("a scenario that attached no digest passed the determinism check")
 	}
-	// Engines created outside a Digest call must not be observed.
-	e := NewEngine()
-	if e.auto != nil {
-		t.Fatal("engine created outside Digest got an auto tracer")
+	if !strings.Contains(f.msg, "attached no digest") {
+		t.Fatalf("failure message %q does not name the missing digest", f.msg)
+	}
+	if runs != 1 {
+		t.Fatalf("scenario ran %d times after the first run saw nothing, want 1", runs)
 	}
 }

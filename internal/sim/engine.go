@@ -182,14 +182,13 @@ type Engine struct {
 	cur    *Proc // proc currently holding execution, nil in event context
 	halted bool
 	// tracer is what the hot paths call: the user tracer and the
-	// determinism-digest auto tracer composed via TeeTracer (retrace), so
-	// neither ever displaces the other.
+	// determinism digests composed via TeeTracer (retrace), so neither
+	// ever displaces the other.
 	tracer Tracer
 	user   Tracer // installed with SetTracer
-	// auto is the determinism-digest tracer attached at construction when
-	// a sim.Digest scenario is running; it observes execution alongside
-	// any user-installed tracer.
-	auto Tracer
+	// digest holds the replay-digest folds attached with AttachDigest; it
+	// observes execution alongside any user-installed tracer.
+	digest Tracer
 
 	// Stats, exposed for tests and the bench harness.
 	EventsRun int64
@@ -197,22 +196,20 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{auto: autoTracer}
-	e.retrace()
-	return e
+	return &Engine{}
 }
 
-// retrace recomposes the combined tracer from the user and auto tracers.
+// retrace recomposes the combined tracer from the user and digest tracers.
 func (e *Engine) retrace() {
-	e.tracer = NewTeeTracer(e.user, e.auto)
+	e.tracer = NewTeeTracer(e.user, e.digest)
 }
 
-// AttachDigest composes an additional auto tracer into the engine (used by
-// the parallel scenario runner, which cannot go through the process-global
-// sim.Digest hook). It observes execution exactly as a Digest-installed
-// tracer would.
+// AttachDigest composes a replay-digest fold (usually a *DigestTracer) into
+// the engine. It observes every event and dispatch from then on, alongside
+// any user tracer and any fold attached before it; SetTracer never
+// displaces it.
 func (e *Engine) AttachDigest(t Tracer) {
-	e.auto = NewTeeTracer(e.auto, t)
+	e.digest = NewTeeTracer(e.digest, t)
 	e.retrace()
 }
 

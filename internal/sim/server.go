@@ -11,7 +11,7 @@ type Server struct {
 	eng    *Engine
 	freeAt Time
 
-	// Busy accumulates total reserved time, for utilization reporting.
+	// Busy accumulates total reserved time.
 	Busy time.Duration
 }
 
@@ -39,18 +39,4 @@ func (s *Server) ReserveAt(t Time, dur time.Duration) (start, end Time) {
 	s.freeAt = end
 	s.Busy += dur
 	return start, end
-}
-
-// FreeAt returns the time at which all current reservations drain.
-func (s *Server) FreeAt() Time { return s.freeAt }
-
-// IdleAt reports whether the server has no reservation extending past t.
-func (s *Server) IdleAt(t Time) bool { return s.freeAt <= t }
-
-// Utilization returns Busy as a fraction of elapsed virtual time.
-func (s *Server) Utilization() float64 {
-	if s.eng.now == 0 {
-		return 0
-	}
-	return float64(s.Busy) / float64(s.eng.now)
 }

@@ -2,7 +2,7 @@ package sim
 
 // TeeTracer fans execution events out to multiple tracers in order. The
 // engine uses it internally to compose a user-installed tracer with the
-// determinism-digest auto tracer, and callers use it to stack their own
+// attached determinism digests, and callers use it to stack their own
 // observers (e.g. a trace collector on top of a counting tracer) without
 // either displacing the other.
 type TeeTracer struct {

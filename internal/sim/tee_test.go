@@ -48,12 +48,13 @@ func TestNewTeeTracerSimplifies(t *testing.T) {
 }
 
 // TestDigestWithUserTracer is the regression test for tracer exclusivity:
-// a user tracer installed on an engine must keep observing execution while
-// sim.Digest runs the scenario, and the digest must still be stable.
+// a user tracer installed on an engine must keep observing execution with
+// a digest attached, and the digest must still be stable.
 func TestDigestWithUserTracer(t *testing.T) {
 	var observed int64
-	scenario := func() {
+	scenario := func(d Tracer) {
 		eng := NewEngine()
+		eng.AttachDigest(d)
 		ct := NewCountingTracer()
 		eng.SetTracer(ct)
 		if eng.Tracer() != Tracer(ct) {
@@ -65,13 +66,9 @@ func TestDigestWithUserTracer(t *testing.T) {
 		eng.RunAll()
 		observed = ct.Events
 	}
-	first := Digest(scenario)
-	second := Digest(scenario)
-	if first != second {
-		t.Fatalf("digest diverged with user tracer installed: %#x vs %#x", first, second)
-	}
+	CheckDeterminism(t, scenario)
 	if observed == 0 {
-		t.Fatal("user tracer observed no events during Digest: it was displaced by the auto tracer")
+		t.Fatal("user tracer observed no events with a digest attached: it was displaced")
 	}
 }
 

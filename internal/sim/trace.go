@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Tracer receives engine execution events when installed with SetTracer.
@@ -18,14 +17,14 @@ type Tracer interface {
 
 // SetTracer installs (or, with nil, removes) an execution tracer. It
 // composes with — never displaces — the determinism-digest tracer that
-// sim.Digest attaches, so digests can be taken with a tracer installed.
+// AttachDigest composes in, so digests can be taken with a tracer installed.
 func (e *Engine) SetTracer(t Tracer) {
 	e.user = t
 	e.retrace()
 }
 
-// Tracer returns the user-installed tracer, nil if none. The determinism
-// auto tracer is engine-internal and never reported here.
+// Tracer returns the user-installed tracer, nil if none. Attached digest
+// folds are engine-internal and never reported here.
 func (e *Engine) Tracer() Tracer { return e.user }
 
 // CountingTracer is a minimal Tracer that tallies events and per-process
@@ -115,6 +114,3 @@ func (l *LogTracer) ProcSwitch(at Time, name string) {
 	}
 	l.Lines = append(l.Lines, fmt.Sprintf("%v %s", at, name))
 }
-
-// Elapsed converts a virtual interval to a time.Duration (identity, typed).
-func Elapsed(from, to Time) time.Duration { return to.Sub(from) }

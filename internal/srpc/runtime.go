@@ -426,14 +426,3 @@ func (r *Ref) StoreU32(off int, v uint32) {
 func (r *Ref) U32(off int) uint32 {
 	return r.b.ep.Proc.ReadWord(r.base + kernel.VA(off))
 }
-
-// CopyIn seeds the reference from the incoming argument area (the INOUT
-// entry copy: initial values must be visible through the reference; the
-// copy itself propagates to the client in the background, which is how
-// INOUT results return without an explicit send).
-func (r *Ref) CopyIn(from kernel.VA, n int) {
-	if n > r.n {
-		n = r.n
-	}
-	r.b.ep.Proc.CopyVA(r.base, from, n)
-}

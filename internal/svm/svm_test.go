@@ -182,8 +182,8 @@ func TestManagerOnNonZeroNode(t *testing.T) {
 
 // TestDeterminism: the digest of a lock+barrier workload is replay-stable.
 func TestDeterminism(t *testing.T) {
-	sim.CheckDeterminism(t, func() {
-		c := cluster.New(cluster.Config{MeshX: 2, MeshY: 2})
+	sim.CheckDeterminism(t, func(d sim.Tracer) {
+		c := cluster.New(cluster.Config{MeshX: 2, MeshY: 2, Auto: d})
 		defer c.Shutdown()
 		for i := 0; i < 4; i++ {
 			i := i

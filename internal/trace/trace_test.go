@@ -108,9 +108,10 @@ func TestBindComposesWithUserTracer(t *testing.T) {
 // TestBindUnderDigest: the determinism digest must keep working with a
 // collector bound, and the collector must still observe execution.
 func TestBindUnderDigest(t *testing.T) {
-	run := func() *Collector {
+	run := func(d *sim.DigestTracer) *Collector {
 		c := New()
 		eng := sim.NewEngine()
+		eng.AttachDigest(d)
 		c.Bind(eng)
 		eng.Spawn("w", func(p *sim.Proc) {
 			s := c.Begin("node0/lib", "work")
@@ -120,14 +121,13 @@ func TestBindUnderDigest(t *testing.T) {
 		eng.RunAll()
 		return c
 	}
-	var c1, c2 *Collector
-	d1 := sim.Digest(func() { c1 = run() })
-	d2 := sim.Digest(func() { c2 = run() })
-	if d1 != d2 {
-		t.Fatalf("digest diverged with collector bound: %#x vs %#x", d1, d2)
+	d1, d2 := sim.NewDigestTracer(), sim.NewDigestTracer()
+	c1, c2 := run(d1), run(d2)
+	if d1.Sum() != d2.Sum() {
+		t.Fatalf("digest diverged with collector bound: %#x vs %#x", d1.Sum(), d2.Sum())
 	}
 	if c1.EngineEvents() == 0 {
-		t.Error("collector displaced by digest auto tracer")
+		t.Error("collector displaced by the attached digest")
 	}
 	if len(c1.Spans()) != 1 || len(c2.Spans()) != 1 {
 		t.Errorf("spans lost under digest: %d and %d", len(c1.Spans()), len(c2.Spans()))
