@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench bench-json check clean
+.PHONY: all build test race vet lint fuzz trace-smoke svm app partition chaos pool snap-smoke meshscale meshscale-smoke bench check clean
 
 all: build
 
@@ -103,18 +103,11 @@ chaos:
 
 # bench runs every Go microbenchmark with allocation stats: the event-core
 # hot paths (churn, timer arm/cancel, proc ping-pong), the memory bulk
-# moves, and the end-to-end figure/chaos drivers.
+# moves, the end-to-end figure/chaos drivers, and a whole-repo shrimplint
+# pass. End-to-end and per-layer host cost is the perfbench module's job:
+# bash perfbench/run.sh --workload figures|serve|collectives.
 bench:
-	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/bench .
-
-# bench-json runs the reproducible wall-clock suite and refreshes the
-# committed BENCH_10.json baseline (ns/op, allocs/op, events/sec, wall-clock
-# per figure sweep, serving run, partition cell, chaos cell, the
-# snapshot/pool entries, and the meshscale virtual-time cells). The compare
-# against the previous baseline is advisory: it warns, never fails.
-bench-json:
-	$(GO) run ./cmd/shrimpbench -benchjson /tmp/BENCH_new.json -benchbase BENCH_9.json
-	cp /tmp/BENCH_new.json BENCH_10.json
+	$(GO) test -run NONE -bench . -benchmem ./internal/sim ./internal/mem ./internal/bench ./internal/lint .
 
 # check is the full gate CI runs: build, vet, lint, race-enabled tests,
 # trace determinism, snapshot determinism, mesh-scaling digest stability,

@@ -23,17 +23,15 @@
 //	shrimpbench -faults [-faultseed N] [-parallel N]
 //	shrimpbench -pool
 //	shrimpbench -meshscale | -meshsmoke
-//	shrimpbench -benchjson BENCH_5.json [-benchbase old.json]
 //
-// -parallel N runs the independent figure sweeps (or chaos cells) on N
+// -parallel N runs the selected figure sweeps (or chaos cells) on N
 // worker threads. Every simulation still executes single-threaded on its
 // own engine; tables, CSVs, and replay digests are byte-identical to a
 // sequential run — only the wall-clock changes.
 //
-// -benchjson runs the wall-clock benchmark suite (event-core
-// microbenchmarks, memory bulk moves, end-to-end figure sweeps, chaos
-// cells) and writes a JSON report with ns/op, allocs/op, and events/sec.
-// -benchbase compares against a committed baseline report, warn-only.
+// The simulator's own host cost is measured elsewhere: the perfbench
+// module (bash perfbench/run.sh) for end-to-end and per-layer numbers, and
+// `make bench` for the Go microbenchmarks.
 //
 // -meshscale runs the big-mesh scaling study: 64, 256, and 1024 nodes on
 // k-ary n-cube geometries, with in-network combining off and on, reporting
@@ -85,7 +83,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -110,28 +107,7 @@ func main() {
 	meshScale := flag.Bool("meshscale", false, "run the big-mesh scaling study (64/256/1024 nodes, combining off/on, digest-checked)")
 	meshSmoke := flag.Bool("meshsmoke", false, "run the tiny meshscale smoke cells (for make check)")
 	parallel := flag.Int("parallel", 0, "run independent figure/chaos scenarios on N workers (0 = sequential; results are byte-identical either way)")
-	benchJSON := flag.String("benchjson", "", "run the wall-clock benchmark suite and write the JSON report to this file")
-	benchBase := flag.String("benchbase", "", "baseline JSON report to compare -benchjson results against (warn-only)")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		rep := bench.RunPerfSuite(*iters)
-		fmt.Print(bench.BenchTable(rep))
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "shrimpbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		if *benchBase != "" {
-			warnBenchBaseline(*benchBase, rep)
-		}
-		return
-	}
 
 	if *meshScale {
 		rows := bench.RunMeshScale(bench.DefaultMeshScaleGeometries())
@@ -249,7 +225,6 @@ func main() {
 	}
 
 	run := func(name string) bool { return *fig == "all" || *fig == name }
-	var figures []*bench.Figure
 
 	if run("peak") {
 		r := bench.RunPeak()
@@ -262,33 +237,13 @@ func main() {
 		fmt.Printf("  %-44s %8s %6.1fMB/s\n", "AU-1copy bandwidth at 10KB", "<DU", r.AU1copyMBs)
 		fmt.Println()
 	}
-	if *parallel > 0 {
-		// The pool runs all five figures; output stays in fixed order and
-		// every table/CSV byte matches the sequential path.
-		for _, f := range bench.RunFiguresParallel(*iters, *parallel) {
-			if run(f.ID) {
-				figures = append(figures, f)
-			}
-		}
-	} else {
-		if run("fig3") {
-			figures = append(figures, bench.Fig3(*iters))
-		}
-		if run("fig4") {
-			figures = append(figures, bench.Fig4(*iters))
-		}
-		if run("fig5") {
-			figures = append(figures, bench.Fig5(*iters))
-		}
-		if run("fig7") {
-			figures = append(figures, bench.Fig7(*iters))
-		}
-		if run("fig8") {
-			figures = append(figures, bench.Fig8(*iters))
+	var ids []string
+	for _, id := range []string{"fig3", "fig4", "fig5", "fig7", "fig8"} {
+		if run(id) {
+			ids = append(ids, id)
 		}
 	}
-
-	for _, f := range figures {
+	for _, f := range bench.RunFigures(ids, *iters, *parallel) {
 		if f.ID == "fig8" {
 			// Figure 8 is a single latency plot over its own sweep.
 			fmt.Print(f.LatencyTable(1 << 20))
@@ -344,31 +299,6 @@ func main() {
 	if !anyRan(*fig) {
 		fmt.Fprintf(os.Stderr, "unknown figure %q; want one of all,fig3,fig4,fig5,fig7,fig8,peak,ttcp,rpcbase,ablate\n", *fig)
 		os.Exit(2)
-	}
-}
-
-// warnBenchBaseline compares rep against a committed baseline report and
-// prints advisory warnings; it never exits non-zero, because wall-clock on
-// shared CI runners is too noisy for a hard gate.
-func warnBenchBaseline(path string, rep bench.BenchReport) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: baseline %s unreadable (%v); skipping compare\n", path, err)
-		return
-	}
-	var base bench.BenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "shrimpbench: baseline %s unparsable (%v); skipping compare\n", path, err)
-		return
-	}
-	warnings := bench.CompareBenchReports(base, rep, 0.25)
-	if len(warnings) == 0 {
-		fmt.Printf("baseline compare vs %s: no regressions beyond 25%%\n", path)
-		return
-	}
-	fmt.Printf("baseline compare vs %s — WARNINGS (advisory only):\n", path)
-	for _, w := range warnings {
-		fmt.Printf("  %s\n", w)
 	}
 }
 

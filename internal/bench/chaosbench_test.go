@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // One chaos cell end to end: build a 4-node cluster under the drop-1% plan
 // with the reliability sublayer on, run the fig3 representative scenario
@@ -34,7 +37,7 @@ func BenchmarkChaosSoakParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !ChaosOK(RunChaos(1, Workers())) {
+		if !ChaosOK(RunChaos(1, runtime.GOMAXPROCS(0))) {
 			b.Fatal("chaos soak failed")
 		}
 	}

@@ -3,19 +3,41 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"shrimp/internal/cluster"
+	"shrimp/internal/sim"
 )
 
+// figureEvents pins the engine events each figure sweep executes at
+// iters=2, counted by the replay-digest fold. Event counts do not depend on
+// the host, so this is an exact gate: a change that adds, drops or
+// reorders work on any ping-pong path fails here until the constant is
+// updated, with the reason, in the same change.
+var figureEvents = map[string]int64{
+	"fig3": 21700,
+	"fig4": 210555,
+	"fig5": 26553,
+	"fig7": 22977,
+	"fig8": 5118,
+}
+
 // TestFullFigureGeneration exercises the complete figure builders (the code
-// paths cmd/shrimpbench runs), checking structural invariants of the
-// resulting tables rather than re-asserting calibration (the per-figure
-// shape tests do that).
+// paths cmd/shrimpbench runs), checking the engine events each sweep
+// executes and structural invariants of the resulting tables rather than
+// re-asserting calibration (the per-figure shape tests do that).
 func TestFullFigureGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	figs := []*Figure{Fig3(2), Fig4(2), Fig5(2), Fig7(2), Fig8(2)}
 	wantSeries := map[string]int{"fig3": 4, "fig4": 6, "fig5": 2, "fig7": 3, "fig8": 2}
-	for _, f := range figs {
+	for _, build := range []func(*env, int) *Figure{fig3, fig4, fig5, fig7, fig8} {
+		dt := sim.NewDigestTracer()
+		e := &env{cfg: cluster.Config{Auto: dt}}
+		f := build(e, 2)
+		e.close()
+		if dt.Events != figureEvents[f.ID] {
+			t.Errorf("%s: %d engine events, want %d", f.ID, dt.Events, figureEvents[f.ID])
+		}
 		if len(f.Serie) != wantSeries[f.ID] {
 			t.Errorf("%s: %d series, want %d", f.ID, len(f.Serie), wantSeries[f.ID])
 		}
@@ -85,5 +107,19 @@ func TestMeasurementDeterminism(t *testing.T) {
 	r2 := SRPCNull(256, 4)
 	if r1 != r2 {
 		t.Fatalf("nondeterministic SRPC measurement: %v vs %v", r1, r2)
+	}
+}
+
+// vmmcPingPongAllocs is the allocation ceiling for one AU-1copy 1 KB
+// ping-pong point (world boot included), about 2% above the measured
+// 1414; the race detector's instrumentation adds about 10.
+const vmmcPingPongAllocs = 1442
+
+// TestVMMCPingPongAllocs gates host allocations on the figure path, which
+// unlike wall-clock do not depend on the host.
+func TestVMMCPingPongAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() { VMMCPingPong(AU1copy, 1024, 8) })
+	if allocs > vmmcPingPongAllocs {
+		t.Errorf("one ping-pong point: %.0f allocs, ceiling %d", allocs, vmmcPingPongAllocs)
 	}
 }

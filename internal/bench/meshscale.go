@@ -9,8 +9,8 @@
 // numbers in EXPERIMENTS.md reproducible claims rather than measurements.
 //
 // All times here are VIRTUAL: they come from the calibrated hardware model,
-// not the host clock (the wall-clock entries in perf.go time the simulator
-// itself). Link contention is read from the mesh's "link.wait" histogram —
+// not the host clock (the perfbench module times the simulator itself).
+// Link contention is read from the mesh's "link.wait" histogram —
 // how long packet headers sat queued behind other flows at a channel.
 package bench
 

@@ -12,7 +12,7 @@
 package bench
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -51,22 +51,25 @@ func runPool(workers, n int, job func(i int)) {
 	wg.Wait()
 }
 
-// Workers returns the default worker count for parallel runs.
-func Workers() int { return runtime.GOMAXPROCS(0) }
+// standardFigures are the five figure sweeps, in output order.
+var standardFigures = []struct {
+	id    string
+	build func(iters int) *Figure
+}{{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig7", Fig7}, {"fig8", Fig8}}
 
-// RunFiguresParallel produces the five standard figures like running
-// Fig3..Fig8 back to back, but on a worker pool. The returned slice is
-// always ordered fig3, fig4, fig5, fig7, fig8, and every figure's tables
-// and CSV are byte-identical to its sequential counterpart.
-func RunFiguresParallel(iters, workers int) []*Figure {
-	jobs := []func() *Figure{
-		func() *Figure { return Fig3(iters) },
-		func() *Figure { return Fig4(iters) },
-		func() *Figure { return Fig5(iters) },
-		func() *Figure { return Fig7(iters) },
-		func() *Figure { return Fig8(iters) },
+// RunFigures builds the standard figures (fig3, fig4, fig5, fig7, fig8)
+// named in ids on up to workers OS threads; workers <= 1 builds them in
+// order on the calling goroutine. The result keeps that fixed order
+// whatever the order of ids, and every figure's tables and CSV are
+// byte-identical whatever the worker count.
+func RunFigures(ids []string, iters, workers int) []*Figure {
+	var builds []func(int) *Figure
+	for _, f := range standardFigures {
+		if slices.Contains(ids, f.id) {
+			builds = append(builds, f.build)
+		}
 	}
-	out := make([]*Figure, len(jobs))
-	runPool(workers, len(jobs), func(i int) { out[i] = jobs[i]() })
+	out := make([]*Figure, len(builds))
+	runPool(workers, len(builds), func(i int) { out[i] = builds[i](iters) })
 	return out
 }

@@ -36,9 +36,10 @@ func TestParallelFiguresMatchSequential(t *testing.T) {
 		t.Skip("full figure sweep")
 	}
 	const iters = 2
-	seq := RunFiguresParallel(iters, 1)
+	all := []string{"fig3", "fig4", "fig5", "fig7", "fig8"}
+	seq := RunFigures(all, iters, 1)
 	for run := 1; run <= 2; run++ {
-		par := RunFiguresParallel(iters, 4)
+		par := RunFigures(all, iters, 4)
 		if len(par) != len(seq) {
 			t.Fatalf("run %d: got %d figures, want %d", run, len(par), len(seq))
 		}
@@ -52,4 +53,13 @@ func TestParallelFiguresMatchSequential(t *testing.T) {
 			}
 		}
 	}
+	// A selection builds exactly the figures it names: -fig fig8
+	// -parallel 4 must not sweep fig3-fig7, and -fig peak sweeps none.
+	if one := RunFigures([]string{"fig8"}, iters, 4); len(one) != 1 || one[0].CSV() != seq[4].CSV() {
+		t.Errorf("selecting fig8 returned %d figures, want fig8 alone", len(one))
+	}
+	if none := RunFigures([]string{"peak"}, iters, 4); len(none) != 0 {
+		t.Errorf("selecting peak returned %d figures, want none", len(none))
+	}
 }
+

@@ -1,17 +1,20 @@
 // Snapshot and warm-pool wall-clock entries: what checkpointing a wired
 // world costs, what a copy-on-write clone costs, and — the headline — how
 // a warm pool amortizes app-serve world setup. The app-serve world here is
-// the serving mesh from the app/serve entry plus its staged dataset: cold
-// store pages DMA'd into every node's DRAM before the serving processes
-// come up. A fresh boot re-pays the dataset staging for every world; the
-// pool pays boot + staging + capture once and hands out CoW clones that
-// share every staged page until first write. Like the rest of perf.go,
-// everything here is host wall-clock and confined to the bench harness.
+// a 2x2 serving mesh plus its staged dataset: cold store pages DMA'd into
+// every node's DRAM before the serving processes come up. A fresh boot
+// re-pays the dataset staging for every world; the pool pays boot +
+// staging + capture once and hands out CoW clones that share every staged
+// page until first write. Unlike the rest of this package, which measures
+// exact virtual time, everything here is host wall-clock; the reads are
+// confined to measure and marked, so the no-wallclock rule still guards
+// every simulation path.
 package bench
 
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
@@ -25,7 +28,7 @@ import (
 const appWorldDatasetPages = 1024
 
 // appWorldBoot builds the app-serve world from scratch — boot the 2x2
-// serving mesh (the app/serve entry's geometry) and stage the dataset.
+// serving mesh and stage the dataset.
 // This is the per-world cost the warm pool amortizes away.
 func appWorldBoot() *cluster.Cluster {
 	c := cluster.New(cluster.Config{MeshX: 2, MeshY: 2})
@@ -64,9 +67,44 @@ func mustCaptureAppWorld() *snap.World {
 	return w
 }
 
-// snapPerfEntries appends the snapshot & warm-pool section to a suite.
-func snapPerfEntries(add func(BenchResult)) {
+// PoolEntry is one fixed-iteration wall-clock measurement, in the shape
+// of `go test -bench -benchmem`.
+type PoolEntry struct {
+	Name        string
+	Iters       int
+	NsPerOp     float64
+	AllocsPerOp float64
+	// WallMS is the total wall-clock time the measurement loop took.
+	WallMS float64
+}
+
+// measure runs op iters times and reports averages. Iteration counts are
+// fixed, not wall-clock-adaptive, so two suite runs do identical work.
+func measure(name string, iters int, op func()) PoolEntry {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	//lint:allow no-wallclock host-performance harness measures the simulator itself
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		op()
+	}
+	//lint:allow no-wallclock host-performance harness measures the simulator itself
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return PoolEntry{
+		Name:        name,
+		Iters:       iters,
+		NsPerOp:     float64(wall.Nanoseconds()) / float64(iters),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
+		WallMS:      float64(wall.Nanoseconds()) / 1e6,
+	}
+}
+
+// poolEntries measures the snapshot & warm-pool entries.
+func poolEntries() []PoolEntry {
 	world := mustCaptureAppWorld()
+	var out []PoolEntry
 
 	// Checkpoint cost: hash + intern every materialized page of a live
 	// world into the content-addressed chunk store.
@@ -74,45 +112,41 @@ func snapPerfEntries(add func(BenchResult)) {
 	if err != nil {
 		panic("snap restore failed: " + err.Error())
 	}
-	add(measure("snap/capture", 2, func() int64 {
+	out = append(out, measure("snap/capture", 2, func() {
 		if _, err := snap.Capture(live); err != nil {
 			panic("snap capture failed: " + err.Error())
 		}
-		return 0
 	}))
 	live.Shutdown()
 
 	// Serialization cost: the versioned, checksummed image of the world.
-	add(measure("snap/encode", 1, func() int64 {
+	out = append(out, measure("snap/encode", 1, func() {
 		if len(world.Encode()) == 0 {
 			panic("snap encode produced empty image")
 		}
-		return 0
 	}))
 
 	// Clone cost: rebuild the recipe, verify parity, install state. The
 	// dataset rides for free — InstallFrames retains sealed pages, it
 	// never copies them.
-	add(measure("snap/clone-cluster", 16, func() int64 {
+	out = append(out, measure("snap/clone-cluster", 16, func() {
 		c, err := world.Restore()
 		if err != nil {
 			panic("snap restore failed: " + err.Error())
 		}
 		c.Shutdown()
-		return 0
 	}))
 
 	// The 5x pair. Boot path: every world re-pays boot + dataset staging.
-	add(measure("snap/app-world-boot", 8, func() int64 {
+	out = append(out, measure("snap/app-world-boot", 8, func() {
 		appWorldBoot().Shutdown()
-		return 0
 	}))
 
 	// Pool path: boot + staging + capture happen once, inside the measured
 	// loop so the entry reports honest amortized per-world cost; every
 	// iteration after that is a CoW clone out of the pool.
 	var pool *snap.Pool
-	add(measure("snap/app-world-pooled", 96, func() int64 {
+	out = append(out, measure("snap/app-world-pooled", 96, func() {
 		if pool == nil {
 			pool = snap.NewWorldPool(mustCaptureAppWorld(), snap.RestoreOptions{})
 		}
@@ -121,33 +155,30 @@ func snapPerfEntries(add func(BenchResult)) {
 			panic("pool get failed: " + err.Error())
 		}
 		pool.Discard(c)
-		return 0
 	}))
 	if pool != nil {
 		pool.Close()
 	}
+	return out
 }
 
-// PoolReport is the `shrimpbench -pool` document: the snapshot bench
-// entries, the boot-vs-pooled speedup they imply, and both elasticity
-// scenario cells.
+// PoolReport is the `shrimpbench -pool` result: the snapshot entries, the
+// boot-vs-pooled speedup they imply, and both elasticity scenario cells.
 type PoolReport struct {
-	Schema     string        `json:"schema"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Results    []BenchResult `json:"results"`
+	GoMaxProcs int
+	Results    []PoolEntry
 	// BootNsPerWorld and PooledNsPerWorld restate the two app-world
 	// entries; Speedup is their ratio — the pool-amortization headline.
-	BootNsPerWorld   float64              `json:"boot_ns_per_world"`
-	PooledNsPerWorld float64              `json:"pooled_ns_per_world"`
-	Speedup          float64              `json:"speedup"`
-	Elastic          ElasticPoolResult    `json:"elastic"`
-	Rolling          ElasticRollingResult `json:"rolling"`
+	BootNsPerWorld   float64
+	PooledNsPerWorld float64
+	Speedup          float64
+	Elastic          ElasticPoolResult
+	Rolling          ElasticRollingResult
 }
 
-// RunPoolSuite runs the snapshot bench entries plus the elasticity cells.
+// RunPoolSuite runs the snapshot entries plus the elasticity cells.
 func RunPoolSuite() PoolReport {
-	rep := PoolReport{Schema: "shrimp-pool/v1", GoMaxProcs: runtime.GOMAXPROCS(0)}
-	snapPerfEntries(func(r BenchResult) { rep.Results = append(rep.Results, r) })
+	rep := PoolReport{GoMaxProcs: runtime.GOMAXPROCS(0), Results: poolEntries()}
 	for _, r := range rep.Results {
 		switch r.Name {
 		case "snap/app-world-boot":
@@ -166,11 +197,11 @@ func RunPoolSuite() PoolReport {
 
 // PoolTable renders the pool report for terminals.
 func PoolTable(rep PoolReport) string {
-	out := BenchTable(BenchReport{
-		Schema:     rep.Schema,
-		GoMaxProcs: rep.GoMaxProcs,
-		Results:    rep.Results,
-	})
+	out := fmt.Sprintf("POOL — snapshot & warm-pool wall-clock (GOMAXPROCS=%d)\n", rep.GoMaxProcs)
+	out += fmt.Sprintf("%-24s %6s %14s %12s %12s\n", "benchmark", "iters", "ns/op", "allocs/op", "wall(ms)")
+	for _, r := range rep.Results {
+		out += fmt.Sprintf("%-24s %6d %14.0f %12.1f %12.2f\n", r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.WallMS)
+	}
 	out += fmt.Sprintf(
 		"\npool-amortized app-serve world setup: %.2fx cheaper than fresh boot (%.0f vs %.0f ns/world)\n\n",
 		rep.Speedup, rep.PooledNsPerWorld, rep.BootNsPerWorld)

@@ -1044,3 +1044,23 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 }
+
+// BenchmarkRepoLint times what every `make lint` pays: load and type-check
+// the whole module, tests included, build the call graph and run every
+// analyzer.
+func BenchmarkRepoLint(b *testing.B) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pkgs, err := LoadModule(root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if diags := Run(pkgs, All()); len(diags) != 0 {
+			b.Fatalf("lint reported %d findings, first: %s", len(diags), diags[0])
+		}
+	}
+}

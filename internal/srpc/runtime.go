@@ -350,15 +350,8 @@ func (b *Binding) ReadArgs(argLen int) []byte {
 	return b.ep.Proc.ReadBytes(b.ArgsVA(argLen), argLen)
 }
 
-// OutRef returns a by-reference view of the reply payload area for a reply
-// of length rlen: writes through it land in the outgoing buffer and
-// propagate to the client by automatic update while the server computes.
-func (b *Binding) OutRef(rlen int) *Ref {
-	return &Ref{b: b, base: b.shadow + kernel.VA(flagOff-rlen), n: rlen}
-}
-
-// Finish completes the current call: the results (already written through
-// the OutRef, or copied with WriteResults) are capped with the reply flag —
+// Finish completes the current call: the results (already copied in with
+// WriteResults) are capped with the reply flag —
 // "when the call is done, the server sends return values and a flag back…
 // the flag is immediately after the data, so only one data transfer is
 // required".

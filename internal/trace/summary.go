@@ -30,6 +30,11 @@ func (c *Collector) Summary() string {
 				usec(st.Total), mean/1e3, usec(st.Max))
 		}
 	}
+	if c.spansDropped > 0 {
+		// A MaxSpans cap truncated the span list; say so rather than let
+		// the span table above pass for the whole run.
+		fmt.Fprintf(&b, "spans dropped: %d\n", c.spansDropped)
+	}
 
 	if len(c.counters) > 0 {
 		b.WriteString("counters:\n")

@@ -239,6 +239,25 @@ func TestSummaryContent(t *testing.T) {
 	}
 }
 
+// TestSummaryReportsDroppedSpans: a MaxSpans cap must show in the summary,
+// and an uncapped run's summary must not mention it.
+func TestSummaryReportsDroppedSpans(t *testing.T) {
+	if s := scenario().Summary(); strings.Contains(s, "spans dropped") {
+		t.Errorf("uncapped summary reports dropped spans:\n%s", s)
+	}
+	c := New()
+	c.MaxSpans = 1
+	c.Add("node0/nic", "du.dma", 0, 10)
+	c.Add("node0/nic", "du.dma", 10, 20)
+	c.Add("node0/nic", "du.dma", 20, 30)
+	if len(c.Spans()) != 1 || c.SpansDropped() != 2 {
+		t.Fatalf("kept %d spans, dropped %d; want 1 and 2", len(c.Spans()), c.SpansDropped())
+	}
+	if s := c.Summary(); !strings.Contains(s, "spans dropped: 2\n") {
+		t.Errorf("capped summary does not report the 2 dropped spans:\n%s", s)
+	}
+}
+
 func TestWriteTopSpans(t *testing.T) {
 	var buf bytes.Buffer
 	scenario().WriteTopSpans(&buf, 2)
