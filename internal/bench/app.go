@@ -233,8 +233,8 @@ func appServe(e *env, opts AppServeOpts, stats *AppServeStats) error {
 func AcceptanceAppOpts() AppServeOpts {
 	return AppServeOpts{
 		MeshX: 4, MeshY: 2,
-		Sessions:  1 << 20,
-		Gateways:  []int{0, 1, 2, 3},
+		Sessions: 1 << 20,
+		Gateways: []int{0, 1, 2, 3},
 		// 8e5 aggregate is heavy but serviceable: the 8-node cluster
 		// saturates near 1.2M ops/s at this batch size (the gateway hosts'
 		// NICs, which carry serving and gateway traffic both, give out

@@ -62,4 +62,3 @@ func TestParallelFiguresMatchSequential(t *testing.T) {
 		t.Errorf("selecting peak returned %d figures, want none", len(none))
 	}
 }
-

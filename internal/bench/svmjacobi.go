@@ -196,7 +196,7 @@ func svmJacobi(e *env, nodes, cells, sweeps int) JacobiResult {
 					cur[0] = 1.0
 				}
 				if node < nodes-1 {
-					cur[local+1] = readF64(stripVA(arr, node + 1))
+					cur[local+1] = readF64(stripVA(arr, node+1))
 				} else {
 					cur[local+1] = 0.0
 				}

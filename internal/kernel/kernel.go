@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"shrimp/internal/hw"
@@ -112,9 +113,9 @@ type Machine struct {
 	// each segment lives only until its delayed PresentToSnoop runs, so a
 	// small free list absorbs the entire per-store allocation churn.
 	segPool [][]byte
-	irq        map[int]func(data any)
-	procs      []*Process // every process spawned, for Crash
-	dead       bool       // node crashed: interrupts are dropped
+	irq     map[int]func(data any)
+	procs   []*Process // every process spawned, for Crash
+	dead    bool       // node crashed: interrupts are dropped
 
 	// IRQRaised counts interrupts delivered to this node's CPU — the
 	// libraries' interrupt-avoidance claims are tested against it.
@@ -198,7 +199,10 @@ type Process struct {
 	M    *Machine
 	P    *sim.Proc
 
-	pt     map[VPN]PTE
+	// pt is the page table, indexed by VPN. VAs are bump-allocated from
+	// 0x10000 and never reused, so the slice stays dense; a zero Frame
+	// (frame 0 is never allocated) marks an unmapped page.
+	pt     []PTE
 	nextVA VA // bump allocator for mappings
 
 	heapVA   VA // current heap fill pointer
@@ -209,11 +213,10 @@ type Process struct {
 	handlers map[int]func(*Process, Signal)
 	blocked  bool // signals blocked (queued, not delivered)
 
-	// auHook, when set, observes CPU stores this process makes to
-	// AU-bound pages *before* page-table translation cost is charged.
-	// Installed by the VMMC layer. (The hardware's snoop is on the
-	// physical bus; the hook lives here so cost accounting can pick the
-	// right store rate per page.)
+	// auPages marks the pages with an automatic-update binding (set by the
+	// VMMC layer through SetAUPage). WriteBytes consults it to charge
+	// stores to those pages at the snooped write-through rate and route
+	// them through the delayed snoop presentation.
 	auPages map[VPN]bool
 
 	// prot holds per-page protection overrides; absent pages are ProtRW,
@@ -243,7 +246,6 @@ func (m *Machine) Spawn(name string, body func(p *Process)) *Process {
 		PID:      m.nextPID,
 		Name:     name,
 		M:        m,
-		pt:       make(map[VPN]PTE),
 		nextVA:   0x10000,
 		handlers: make(map[int]func(*Process, Signal)),
 		auPages:  make(map[VPN]bool),
@@ -286,12 +288,21 @@ func (p *Process) MapPages(n int, flags PTEFlags) VA {
 	if off := base % hw.Page; off != 0 {
 		base += VA(hw.Page - off)
 	}
-	for i := 0; i < n; i++ {
-		f := p.M.AllocFrame()
-		p.pt[PageOf(base)+VPN(i)] = PTE{Frame: f, Flags: flags}
-	}
 	p.nextVA = base + VA(n*hw.Page)
+	p.pt = slices.Grow(p.pt, int(PageOf(p.nextVA))-len(p.pt))[:PageOf(p.nextVA)]
+	for i := 0; i < n; i++ {
+		p.pt[PageOf(base)+VPN(i)] = PTE{Frame: p.M.AllocFrame(), Flags: flags}
+	}
 	return base
+}
+
+// pte returns the page-table entry for vpn and whether the page is mapped.
+func (p *Process) pte(vpn VPN) (PTE, bool) {
+	if int(vpn) >= len(p.pt) {
+		return PTE{}, false
+	}
+	pte := p.pt[vpn]
+	return pte, pte.Frame != 0
 }
 
 // UnmapPages removes n pages at base and frees their frames.
@@ -301,12 +312,12 @@ func (p *Process) UnmapPages(base VA, n int) {
 	}
 	for i := 0; i < n; i++ {
 		vpn := PageOf(base) + VPN(i)
-		pte, ok := p.pt[vpn]
+		pte, ok := p.pte(vpn)
 		if !ok {
 			panic(fmt.Sprintf("kernel: unmap of unmapped page %#x", base))
 		}
 		p.M.FreeFrame(pte.Frame)
-		delete(p.pt, vpn)
+		p.pt[vpn] = PTE{}
 	}
 }
 
@@ -353,7 +364,7 @@ func (p *Process) Alloc(n, align int) VA {
 
 // Translate resolves a VA to a physical address.
 func (p *Process) Translate(va VA) (mem.PA, error) {
-	pte, ok := p.pt[PageOf(va)]
+	pte, ok := p.pte(PageOf(va))
 	if !ok {
 		return 0, fmt.Errorf("page fault: %s va %#x unmapped", p.Name, va)
 	}
@@ -361,20 +372,15 @@ func (p *Process) Translate(va VA) (mem.PA, error) {
 }
 
 // PTEOf returns the page-table entry for va's page.
-func (p *Process) PTEOf(va VA) (PTE, bool) {
-	pte, ok := p.pt[PageOf(va)]
-	return pte, ok
-}
+func (p *Process) PTEOf(va VA) (PTE, bool) { return p.pte(PageOf(va)) }
 
 // SetFlags updates the flags on a mapped page (e.g. the daemon marking a
 // page write-through before creating an AU binding).
 func (p *Process) SetFlags(vpn VPN, flags PTEFlags) {
-	pte, ok := p.pt[vpn]
-	if !ok {
+	if _, ok := p.pte(vpn); !ok {
 		panic("kernel: SetFlags on unmapped page") //lint:allow transitive-panic kernel invariant: callers validate the mapping first (daemon BindAU checks PTEOf)
 	}
-	pte.Flags = flags
-	p.pt[vpn] = pte
+	p.pt[vpn].Flags = flags
 }
 
 // --- Per-page protection and the user-level fault upcall ---
@@ -401,7 +407,7 @@ func (p *Process) Mprotect(base VA, n int, pr Prot) {
 	}
 	for i := 0; i < n; i++ {
 		vpn := PageOf(base) + VPN(i)
-		if _, ok := p.pt[vpn]; !ok {
+		if _, ok := p.pte(vpn); !ok {
 			panic(fmt.Sprintf("kernel: %s mprotect of unmapped page va %#x", p.Name, base)) //lint:allow transitive-panic mprotect of an unmapped page is a simulated segfault: a program bug, not a runtime condition
 		}
 		if pr == ProtRW {
@@ -469,6 +475,18 @@ func (p *Process) mustPA(va VA) mem.PA {
 	return pa
 }
 
+// Frames resolves the physical frames behind n pages starting at the page
+// containing va, in page order. Libraries that poll a mapped region call it
+// once, when the region is set up, and keep the frames (pinned receive
+// buffers never move). An unmapped page is a simulated segfault.
+func (p *Process) Frames(va VA, n int) []mem.PFN {
+	fs := make([]mem.PFN, n)
+	for i := range fs {
+		fs[i] = mem.PageOf(p.mustPA(va + VA(i*hw.Page)))
+	}
+	return fs
+}
+
 // --- Data access with cost accounting ---
 //
 // Bulk operations reserve the node memory bus so CPU copies and NIC DMA
@@ -520,7 +538,7 @@ func (p *Process) WriteBytes(va VA, b []byte) {
 		}
 		p.checkAccess(va+VA(off), true)
 		vpn := PageOf(va + VA(off))
-		pte, ok := p.pt[vpn]
+		pte, ok := p.pte(vpn)
 		if !ok {
 			panic(fmt.Errorf("page fault: %s store va %#x", p.Name, va+VA(off))) //lint:allow transitive-panic store to an unmapped page is a simulated segfault: a program bug, not a runtime condition
 		}
@@ -703,41 +721,30 @@ func (p *Process) WaitWord(va VA, pred func(uint32) bool) uint32 {
 	}
 }
 
-// WaitAnyChange blocks until pred holds, re-checking whenever a write lands
-// in a page containing any of the given addresses. pred is charged one
-// poll-check per evaluation. This is the multi-connection poll loop the
-// message-passing libraries use (scan all senders, sleep until something
-// changes).
-func (p *Process) WaitAnyChange(vas []VA, pred func() bool) {
-	pas := make([]mem.PA, len(vas))
-	for i, va := range vas {
-		pas[i] = p.mustPA(va)
+// pageConds returns the watcher conds of the pages holding vas, deduped
+// in first-seen order, followed by extra. With no vas, extra itself is
+// returned: it is only read, so there is nothing to copy.
+func (p *Process) pageConds(vas []VA, extra []*sim.Cond) []*sim.Cond {
+	if len(vas) == 0 {
+		return extra
 	}
-	for {
-		p.P.Sleep(hw.PollCheckCost)
-		if pred() {
-			return
+	conds := make([]*sim.Cond, 0, len(vas)+len(extra))
+	for _, va := range vas {
+		if c := p.M.Mem.PageCond(mem.PageOf(p.mustPA(va))); !slices.Contains(conds, c) {
+			conds = append(conds, c)
 		}
-		p.M.Mem.WaitChangeAny(p.P, pas)
 	}
+	return append(conds, extra...)
 }
 
 // WaitPred blocks until pred holds, re-checking when a write lands in a
 // page containing one of vas or when any of the extra conds is signaled.
-// Used by servers multiplexing memory-mapped streams with control-network
-// ports.
+// pred is charged one poll-check per evaluation. This is the poll loop of
+// every library that multiplexes memory-mapped channels: the
+// message-passing receive scans (which pass their regions' page conds as
+// extra) and servers mixing streams with control-network ports.
 func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
-	conds := make([]*sim.Cond, 0, len(vas)+len(extra))
-	seen := make(map[mem.PFN]bool)
-	for _, va := range vas {
-		pa := p.mustPA(va)
-		f := mem.PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, p.M.Mem.PageCond(f))
-		}
-	}
-	conds = append(conds, extra...)
+	conds := p.pageConds(vas, extra)
 	for {
 		p.P.Sleep(hw.PollCheckCost)
 		if pred() {
@@ -751,17 +758,7 @@ func (p *Process) WaitPred(vas []VA, extra []*sim.Cond, pred func() bool) {
 // held (true) or the deadline passed first (false). The survivable
 // blocking paths (socket space/recv waits) are built on it.
 func (p *Process) WaitPredTimeout(vas []VA, extra []*sim.Cond, pred func() bool, d time.Duration) bool {
-	conds := make([]*sim.Cond, 0, len(vas)+len(extra))
-	seen := make(map[mem.PFN]bool)
-	for _, va := range vas {
-		pa := p.mustPA(va)
-		f := mem.PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, p.M.Mem.PageCond(f))
-		}
-	}
-	conds = append(conds, extra...)
+	conds := p.pageConds(vas, extra)
 	deadline := p.P.Now().Add(d)
 	for {
 		p.P.Sleep(hw.PollCheckCost)

@@ -2,8 +2,9 @@
 // kernel's mutable data state — the frame allocator, the PID counter, and
 // every process's page table, protection overrides, heap cursors, and
 // signal-delivery flags. internal/snap encodes these structs; this file
-// owns gathering them in a stable order (page tables are maps, so every
-// dump sorts by virtual page) and re-installing them onto a rebuilt world.
+// owns gathering them in a stable order (ascending virtual page: the page
+// table is walked in index order, the protection and AU maps are sorted)
+// and re-installing them onto a rebuilt world.
 package kernel
 
 import (
@@ -96,11 +97,11 @@ func (p *Process) SnapImage() ProcessImage {
 		PageFaults:     p.PageFaults,
 		Exited:         p.exited,
 	}
-	img.PT = make([]PTSlot, 0, len(p.pt))
 	for vpn, pte := range p.pt {
-		img.PT = append(img.PT, PTSlot{VPN: vpn, Frame: pte.Frame, Flags: pte.Flags})
+		if pte.Frame != 0 {
+			img.PT = append(img.PT, PTSlot{VPN: VPN(vpn), Frame: pte.Frame, Flags: pte.Flags})
+		}
 	}
-	sort.Slice(img.PT, func(i, j int) bool { return img.PT[i].VPN < img.PT[j].VPN })
 	img.Prot = make([]ProtSlot, 0, len(p.prot))
 	for vpn, pr := range p.prot {
 		img.Prot = append(img.Prot, ProtSlot{VPN: vpn, Prot: pr})
@@ -121,7 +122,11 @@ func (p *Process) InstallImage(img ProcessImage) error {
 	if img.PendingSignals != 0 {
 		return fmt.Errorf("kernel: image of %q carries %d pending signals; signal payloads are not restorable", img.Name, img.PendingSignals)
 	}
-	p.pt = make(map[VPN]PTE, len(img.PT))
+	n := int(PageOf(img.NextVA))
+	for _, s := range img.PT {
+		n = max(n, int(s.VPN)+1)
+	}
+	p.pt = make([]PTE, n)
 	for _, s := range img.PT {
 		p.pt[s.VPN] = PTE{Frame: s.Frame, Flags: s.Flags}
 	}

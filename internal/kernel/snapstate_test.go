@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shrimp/internal/hw"
+	"shrimp/internal/mem"
 	"shrimp/internal/sim"
 )
 
@@ -124,5 +125,68 @@ func TestVerifyImageCatchesDrift(t *testing.T) {
 	img.PendingSignals = 1
 	if err := pr.InstallImage(img); err == nil {
 		t.Fatalf("InstallImage accepted pending signals")
+	}
+}
+
+// TestDensePageTable covers the page table's holes: an unmapped page in
+// the middle of a mapping, VAs below the first mapping and past the last,
+// and an image installed onto a fresh process, which must answer every
+// translation identically and keep bump-allocating VAs past the image's
+// cursor rather than into a hole.
+func TestDensePageTable(t *testing.T) {
+	e := sim.NewEngine()
+	m := NewMachine(0, e, 4<<20)
+	var base VA
+	pr := m.Spawn("init", func(p *Process) {
+		base = p.MapPages(3, FlagPinned)
+		p.UnmapPages(base+hw.Page, 1)
+	})
+	e.RunAll()
+
+	unmapped := []VA{0, base - 1, base + hw.Page, base + 2*hw.Page - 4, base + 3*hw.Page, 1 << 40}
+	for _, va := range unmapped {
+		if _, err := pr.Translate(va); err == nil {
+			t.Errorf("Translate(%#x) succeeded on an unmapped page", va)
+		}
+		if _, ok := pr.PTEOf(va); ok {
+			t.Errorf("PTEOf(%#x) reports an unmapped page as mapped", va)
+		}
+	}
+	for _, va := range []VA{base, base + 2*hw.Page + 4} {
+		pte, ok := pr.PTEOf(va)
+		pa, err := pr.Translate(va)
+		if !ok || err != nil || pte.Flags != FlagPinned || pa != pte.Frame.Base()+mem.PA(va%hw.Page) {
+			t.Errorf("va %#x: pte %+v ok=%v, pa %#x err=%v", va, pte, ok, pa, err)
+		}
+	}
+	img := pr.SnapImage()
+	if len(img.PT) != 2 || img.PT[0].VPN != PageOf(base) || img.PT[1].VPN != PageOf(base)+2 {
+		t.Fatalf("image page table %+v, want the two mapped pages in VPN order", img.PT)
+	}
+
+	e2 := sim.NewEngine()
+	m2 := NewMachine(0, e2, 4<<20)
+	pr2 := m2.Spawn("init", func(p *Process) {})
+	e2.RunAll()
+	if err := pr2.InstallImage(img); err != nil {
+		t.Fatalf("InstallImage: %v", err)
+	}
+	m2.RestoreState(m.SnapState())
+	for va := VA(0); va < base+4*hw.Page; va += hw.Page / 2 {
+		pte1, ok1 := pr.PTEOf(va)
+		pte2, ok2 := pr2.PTEOf(va)
+		if ok1 != ok2 || pte1 != pte2 {
+			t.Fatalf("va %#x: restored %+v,%v, original %+v,%v", va, pte2, ok2, pte1, ok1)
+		}
+	}
+	// MapPages charges no time, so it runs outside the process body here.
+	if va := pr2.MapPages(1, 0); va != img.NextVA {
+		t.Fatalf("MapPages after restore returned %#x, want the image cursor %#x", va, img.NextVA)
+	}
+	if _, err := pr2.Translate(img.NextVA); err != nil {
+		t.Fatalf("page mapped after restore: %v", err)
+	}
+	if _, ok := pr2.PTEOf(base + hw.Page); ok {
+		t.Fatalf("MapPages after restore filled the hole at %#x", base+hw.Page)
 	}
 }

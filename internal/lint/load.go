@@ -212,12 +212,12 @@ func LoadModuleTests(root string, includeTests bool) ([]*Package, error) {
 				tpath := path + "_test"
 				tpkg, info := check(tpath, n.extTests)
 				p := &Package{
-					Path:  tpath,
-					Dir:   n.dir,
-					Fset:  fset,
-					Files: n.extTests,
-					Types: tpkg,
-					Info:  info,
+					Path:   tpath,
+					Dir:    n.dir,
+					Fset:   fset,
+					Files:  n.extTests,
+					Types:  tpkg,
+					Info:   info,
 					TestOf: path,
 				}
 				p.markTests(n.extTests)

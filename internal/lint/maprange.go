@@ -22,8 +22,7 @@ var orderSensitiveCalls = map[string]bool{
 	// kernel memory/cost primitives
 	"Compute": true, "Poke": true, "Peek": true, "PeekWord": true,
 	"WriteWord": true, "WriteBytes": true, "CopyVA": true,
-	"WaitWord": true, "WaitChange": true, "WaitChangeAny": true,
-	"WaitAnyChange": true, "WaitPred": true,
+	"WaitWord": true, "WaitChange": true, "WaitPred": true,
 	// NIC / mesh / daemon operations
 	"Send": true, "Call": true, "Recv": true, "RecvAll": true,
 	"Quiesce": true, "QuiesceIncoming": true, "WaitDrained": true,
@@ -31,8 +30,10 @@ var orderSensitiveCalls = map[string]bool{
 	"SetIPT": true, "SetFlags": true, "BindAU": true, "UnbindAU": true,
 	"Export": true, "Import": true, "Unimport": true, "Unexport": true,
 	"handleRevoke": true,
-	// nx receive-path helpers that charge per-word costs or send credits
-	"inWord": true, "readHdr": true, "flushCredits": true, "connAddrs": true,
+	// nx receive-path helpers that read memory, charge per-word costs or
+	// send credits
+	"inWord": true, "readHdr": true, "flushCredits": true,
+	"occupied": true, "nextOccupied": true,
 	// output: printing in map order is user-visible nondeterminism
 	"Printf": true, "Println": true, "Print": true,
 	"Fprintf": true, "Fprintln": true, "Fprint": true,

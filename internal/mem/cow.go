@@ -130,6 +130,11 @@ func (m *Memory) InstallFrames(frames []FrameData) error {
 		}
 		c[fd.F&(1<<pageChunkShift-1)] = fd.Data
 		m.setSealed(fd.F)
+		// The contents changed without a write, so no watcher is woken,
+		// but cached derivations keyed on the generation must not survive.
+		if wc := m.watches[ci]; wc != nil {
+			wc[fd.F&(1<<pageChunkShift-1)].gen++
+		}
 	}
 	return nil
 }

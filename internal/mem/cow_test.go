@@ -94,3 +94,41 @@ func TestSnapshotFramesImmutable(t *testing.T) {
 		t.Fatalf("write through installed memory mutated the image: %#x", img[0].Data[0])
 	}
 }
+
+// TestWriteGen: a frame's write generation moves on every write landing in
+// it and on InstallFrames over it (which changes the contents without a
+// write, so no watcher is woken), and stays put for writes elsewhere.
+// Readers key cached derivations of a frame's contents on it.
+func TestWriteGen(t *testing.T) {
+	eng := sim.NewEngine()
+	m := New(eng, 1<<20)
+	const f = PFN(5)
+	g0 := m.WriteGen(f)
+
+	m.WriteDMA(f.Base()+8, []byte{1, 2, 3, 4})
+	g1 := m.WriteGen(f)
+	if g1 == g0 {
+		t.Fatalf("WriteDMA left the generation at %d", g0)
+	}
+	m.WriteCPU((f + 1).Base(), []byte{9})
+	if g := m.WriteGen(f); g != g1 {
+		t.Fatalf("a write to frame %d moved frame %d's generation %d -> %d", f+1, f, g1, g)
+	}
+	// A write straddling the boundary touches both frames.
+	m.WriteNoSnoop(f.Base()-2, []byte{7, 7, 7, 7})
+	g2 := m.WriteGen(f)
+	if g2 == g1 {
+		t.Fatalf("straddling write left the generation at %d", g1)
+	}
+
+	img := bytes.Repeat([]byte{0xCC}, hw.Page)
+	if err := m.InstallFrames([]FrameData{{F: f, Data: img}}); err != nil {
+		t.Fatal(err)
+	}
+	if g := m.WriteGen(f); g == g2 {
+		t.Fatalf("InstallFrames left the generation at %d", g2)
+	}
+	if got := m.U32(f.Base()); got != 0xCCCCCCCC {
+		t.Fatalf("installed frame reads %#x", got)
+	}
+}

@@ -51,6 +51,16 @@ const pageChunkShift = 8
 
 type pageChunk [1 << pageChunkShift][]byte
 
+// watch is one frame's watcher state: the cond woken by writes to the
+// frame (created on first wait) and the frame's write generation.
+type watch struct {
+	cond *sim.Cond
+	gen  uint64
+}
+
+// watchChunk mirrors one pageChunk with per-frame watcher state.
+type watchChunk [1 << pageChunkShift]watch
+
 // Memory is one node's DRAM.
 type Memory struct {
 	eng   *sim.Engine
@@ -67,7 +77,12 @@ type Memory struct {
 	// Seal/Clone/InstallFrames, so ordinary worlds never pay for the check
 	// beyond one nil test. See cow.go.
 	seals []*sealChunk
-	conds map[PFN]*sim.Cond // page write watchers
+	// watches mirrors frames with per-frame watcher conds and write
+	// generations. A chunk is built when a frame in it is first watched
+	// or its generation first read, so writes to unwatched chunks skip
+	// the bookkeeping; a generation counts every write landing once its
+	// chunk exists, which is every write any reader can observe.
+	watches []*watchChunk
 
 	// Snoop, when set, sees every CPU store (not DMA writes — the real
 	// snoop logic sits on the Xpress bus and watches processor writes;
@@ -88,7 +103,7 @@ func New(eng *sim.Engine, size int) *Memory {
 		size:       pages * hw.Page,
 		npage:      pages,
 		frames:     make([]*pageChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
-		conds:      make(map[PFN]*sim.Cond),
+		watches:    make([]*watchChunk, (pages+1<<pageChunkShift-1)>>pageChunkShift),
 		snoopPages: make(map[PFN]bool),
 	}
 }
@@ -253,14 +268,36 @@ func (m *Memory) WriteCPU(pa PA, b []byte) {
 	m.wake(pa, len(b))
 }
 
+// wake bumps the write generation of every frame that [pa, pa+n) touches
+// and wakes its watchers.
 func (m *Memory) wake(pa PA, n int) {
 	first, last := PageOf(pa), PageOf(pa+PA(n-1))
 	for f := first; f <= last; f++ {
-		if c, ok := m.conds[f]; ok {
-			c.Broadcast()
+		if wc := m.watches[f>>pageChunkShift]; wc != nil {
+			w := &wc[f&(1<<pageChunkShift-1)]
+			w.gen++
+			if w.cond != nil {
+				w.cond.Broadcast()
+			}
 		}
 	}
 }
+
+// watch returns frame f's watcher state, building its chunk on first use.
+func (m *Memory) watch(f PFN) *watch {
+	wc := m.watches[f>>pageChunkShift]
+	if wc == nil {
+		wc = new(watchChunk)
+		m.watches[f>>pageChunkShift] = wc
+	}
+	return &wc[f&(1<<pageChunkShift-1)]
+}
+
+// WriteGen returns frame f's write generation. It changes whenever the
+// frame's contents may have changed — every write and every InstallFrames
+// over it — so a reader can cache something it derived from the frame
+// and re-derive only when the generation moves.
+func (m *Memory) WriteGen(f PFN) uint64 { return m.watch(f).gen }
 
 // SetSnoop installs the bus snoop hook (the SHRIMP NIC's snoop logic).
 func (m *Memory) SetSnoop(fn SnoopFunc) { m.snoop = fn }
@@ -286,32 +323,16 @@ func (m *Memory) WaitChangeTimeout(p *sim.Proc, pa PA, d time.Duration) bool {
 	return m.cond(PageOf(pa)).WaitTimeout(p, d)
 }
 
-// WaitChangeAny blocks p until a write lands in any of the pages containing
-// the given addresses.
-func (m *Memory) WaitChangeAny(p *sim.Proc, pas []PA) {
-	seen := make(map[PFN]bool, len(pas))
-	conds := make([]*sim.Cond, 0, len(pas))
-	for _, pa := range pas {
-		f := PageOf(pa)
-		if !seen[f] {
-			seen[f] = true
-			conds = append(conds, m.cond(f))
-		}
-	}
-	sim.WaitAny(p, conds...)
-}
-
 // PageCond returns the watcher condition variable for frame f, for callers
 // composing multi-source waits.
 func (m *Memory) PageCond(f PFN) *sim.Cond { return m.cond(f) }
 
 func (m *Memory) cond(f PFN) *sim.Cond {
-	c, ok := m.conds[f]
-	if !ok {
-		c = sim.NewCond(m.eng)
-		m.conds[f] = c
+	w := m.watch(f)
+	if w.cond == nil {
+		w.cond = sim.NewCond(m.eng)
 	}
-	return c
+	return w.cond
 }
 
 // U32 reads a little-endian 32-bit word at pa.

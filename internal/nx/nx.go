@@ -31,7 +31,9 @@ import (
 	"shrimp/internal/cluster"
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
+	"shrimp/internal/mem"
 	"shrimp/internal/mesh"
+	"shrimp/internal/sim"
 	"shrimp/internal/trace"
 	"shrimp/internal/vmmc"
 )
@@ -123,11 +125,14 @@ type NX struct {
 
 	conns map[int]*conn
 	// connList holds the same connections in ascending peer order. Every
-	// scan over all connections (matching, credit flush, wake address
-	// collection) walks this list: iterating the map would randomize the
-	// scan order and with it the per-word costs charged, breaking
-	// run-to-run determinism.
+	// scan over all connections (matching, credit flush) walks this list:
+	// iterating the map would randomize the scan order and with it the
+	// per-word costs charged, breaking run-to-run determinism.
 	connList []*conn
+	// wakeConds is the receive poll's wake set: every connection's page
+	// conds, concatenated in connList order. It is rebuilt (as a fresh
+	// slice) only when a connection is added.
+	wakeConds []*sim.Cond
 
 	// Last-received message info (infocount and friends).
 	lastCount, lastType, lastNode, lastPid int
@@ -190,6 +195,16 @@ type conn struct {
 	// in is the locally-exported region the peer writes (peer->me).
 	in    kernel.VA
 	inExp *vmmc.Export
+	// inFrames and inConds are in's physical frames and their watcher
+	// conds, resolved once at export: the region is pinned, so they
+	// never change.
+	inFrames []mem.PFN
+	inConds  []*sim.Cond
+	// occ caches which packet buffers have a nonzero size word (bit i
+	// for buffer i); occKey is the sum of inFrames' write generations it
+	// was read at. See occupied.
+	occ    uint32
+	occKey uint64
 
 	// staging is a word-aligned marshal area for DU sends.
 	staging kernel.VA
@@ -293,6 +308,13 @@ func (nx *NX) exportHalf(peer int) *conn {
 		panic(fmt.Sprintf("nx init: %v", err))
 	}
 	cn.inExp = exp
+	cn.inFrames = p.Frames(cn.in, regionPages)
+	cn.inConds = make([]*sim.Cond, regionPages)
+	for i, f := range cn.inFrames {
+		cn.inConds[i] = p.M.Mem.PageCond(f)
+	}
+	cn.occKey = cn.genSum(p.M.Mem)
+	cn.occ = cn.readOcc(p.M.Mem)
 	for i := 0; i < NumPkt; i++ {
 		cn.freeBufs = append(cn.freeBufs, i)
 	}
@@ -310,6 +332,11 @@ func (nx *NX) exportHalf(peer int) *conn {
 	nx.connList = append(nx.connList, nil)
 	copy(nx.connList[at+1:], nx.connList[at:])
 	nx.connList[at] = cn
+	conds := make([]*sim.Cond, 0, len(nx.connList)*regionPages)
+	for _, c := range nx.connList {
+		conds = append(conds, c.inConds...)
+	}
+	nx.wakeConds = conds
 	return cn
 }
 
@@ -427,6 +454,44 @@ func (cn *conn) inWord(p *kernel.Process, off int) uint32 {
 	return p.PeekWord(cn.in + kernel.VA(off))
 }
 
+// occupied returns the mask of packet buffers whose size word is nonzero
+// now, at no virtual-time cost. The size words are re-read only when a
+// write has landed in the region since the last call (its frames' summed
+// write generations moved), so a poll over idle connections reads none.
+// The mask is exact only at the instant it is returned: a scan that can
+// yield (readHdr sleeps) must call occupied again afterwards rather than
+// keep an old mask, or it would miss a message landing mid-scan.
+func (cn *conn) occupied(m *mem.Memory) uint32 {
+	if key := cn.genSum(m); key != cn.occKey {
+		cn.occKey = key
+		cn.occ = cn.readOcc(m)
+	}
+	return cn.occ
+}
+
+// genSum is the occupancy cache key: generations only grow, so the sum
+// changes whenever any frame of the region is written.
+func (cn *conn) genSum(m *mem.Memory) uint64 {
+	var key uint64
+	for _, f := range cn.inFrames {
+		key += m.WriteGen(f)
+	}
+	return key
+}
+
+// readOcc reads every packet buffer's size word (word-aligned, so never
+// split across pages) straight from the region's frames.
+func (cn *conn) readOcc(m *mem.Memory) uint32 {
+	var occ uint32
+	for buf := 0; buf < NumPkt; buf++ {
+		off := pktOff(buf)
+		if m.U32(cn.inFrames[off/hw.Page].Base()+mem.PA(off%hw.Page)) != 0 {
+			occ |= 1 << buf
+		}
+	}
+	return occ
+}
+
 // onDoorbell services a notification from the peer: flush any lazily-held
 // credits so a blocked sender can continue, and advance any of our own
 // pending zero-copy transfers whose replies have arrived. Runs in this
@@ -450,7 +515,7 @@ func (nx *NX) Drain() {
 		if len(nx.pendingZC) == 0 {
 			break
 		}
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool { return nx.pendingActionable() })
+		p.WaitPred(nil, nx.wakeConds, func() bool { return nx.pendingActionable() })
 	}
 	nx.flushAllCredits()
 }

@@ -2,9 +2,11 @@ package nx
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shrimp/internal/hw"
 	"shrimp/internal/kernel"
+	"shrimp/internal/mem"
 )
 
 // candidate is a matchable message found in a connection's packet buffers.
@@ -32,7 +34,7 @@ func (nx *NX) Crecv(typesel int, buf kernel.VA, count int) int {
 			return nx.consumeSelf(sm, buf, count)
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool {
+		p.WaitPred(nil, nx.wakeConds, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -60,7 +62,7 @@ func (nx *NX) Cprobe(typesel int) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool {
+		p.WaitPred(nil, nx.wakeConds, func() bool {
 			return nx.matchExists(typesel) || nx.pendingActionable()
 		})
 	}
@@ -143,7 +145,7 @@ func (nx *NX) Msgwait(id ID) {
 			return
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.wakeAddrs(), func() bool { return true })
+		p.WaitPred(nil, nx.wakeConds, func() bool { return true })
 	}
 }
 
@@ -165,6 +167,14 @@ func (nx *NX) serviceRecv(r *postedRecv) {
 
 // --- Matching ---
 
+// nextOccupied returns the first packet buffer at or after buf whose size
+// word is nonzero now, or NumPkt if there is none. The scans below call it
+// afresh after every readHdr, which sleeps: a message landing mid-scan is
+// then seen exactly as a word-by-word scan of the size words would see it.
+func (cn *conn) nextOccupied(m *mem.Memory, buf int) int {
+	return buf + bits.TrailingZeros32(cn.occupied(m)>>buf|1<<(NumPkt-buf))
+}
+
 // match finds the best matching first-chunk message: lowest sequence number
 // among matching types, scanning connections round-robin. Continuation and
 // zero-copy data chunks are never matched directly.
@@ -173,12 +183,8 @@ func (nx *NX) match(typesel int) (candidate, bool) {
 	var best candidate
 	found := false
 	for _, cn := range nx.connList {
-		for buf := 0; buf < NumPkt; buf++ {
+		for buf := cn.nextOccupied(p.M.Mem, 0); buf < NumPkt; buf = cn.nextOccupied(p.M.Mem, buf+1) {
 			off := pktOff(buf)
-			size := cn.inWord(p, off)
-			if size == 0 {
-				continue
-			}
 			h := nx.readHdr(cn, buf)
 			if h.flags&(flagCont|flagZCData) != 0 {
 				continue
@@ -203,12 +209,10 @@ func (nx *NX) match(typesel int) (candidate, bool) {
 func (nx *NX) matchExists(typesel int) bool {
 	p := nx.proc()
 	for _, cn := range nx.connList {
-		for buf := 0; buf < NumPkt; buf++ {
+		for occ := cn.occupied(p.M.Mem); occ != 0; occ &= occ - 1 {
+			buf := bits.TrailingZeros32(occ)
 			off := pktOff(buf)
 			size := p.PeekWord(cn.in + kernel.VA(off))
-			if size == 0 {
-				continue
-			}
 			flags := p.PeekWord(cn.in + kernel.VA(off+12))
 			if flags&(flagCont|flagZCData) != 0 {
 				continue
@@ -315,11 +319,8 @@ func (nx *NX) release(cn *conn, buf, size int) {
 func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate {
 	p := nx.proc()
 	for {
-		for buf := 0; buf < NumPkt; buf++ {
+		for buf := cn.nextOccupied(p.M.Mem, 0); buf < NumPkt; buf = cn.nextOccupied(p.M.Mem, buf+1) {
 			off := pktOff(buf)
-			if cn.inWord(p, off) == 0 {
-				continue
-			}
 			h := nx.readHdr(cn, buf)
 			if h.flags&flag == 0 || h.msgID != msgID || h.fullSize != idx {
 				continue
@@ -330,26 +331,8 @@ func (nx *NX) waitChunk(cn *conn, flag uint32, msgID uint32, idx int) candidate 
 			return candidate{cn: cn, buf: buf, h: h}
 		}
 		nx.flushAllCredits()
-		p.WaitAnyChange(nx.connAddrs(cn), func() bool { return true })
+		p.WaitPred(nil, cn.inConds, func() bool { return true })
 	}
-}
-
-// wakeAddrs returns one address per page of every incoming region (plus
-// nothing else: replies and done words live in those regions too).
-func (nx *NX) wakeAddrs() []kernel.VA {
-	var vas []kernel.VA
-	for _, cn := range nx.connList {
-		vas = append(vas, nx.connAddrs(cn)...)
-	}
-	return vas
-}
-
-func (nx *NX) connAddrs(cn *conn) []kernel.VA {
-	vas := make([]kernel.VA, 0, regionPages)
-	for pg := 0; pg < regionPages; pg++ {
-		vas = append(vas, cn.in+kernel.VA(pg*hw.Page))
-	}
-	return vas
 }
 
 func (nx *NX) flushAllCredits() {

@@ -40,7 +40,7 @@ func (nx *NX) zcStart(cn *conn, typ int, userVA kernel.VA, n, pid int, proto Pro
 	// done rings are finite).
 	for cn.zcOut >= MaxZC {
 		nx.servicePending()
-		p.WaitAnyChange(nx.connAddrs(cn), func() bool { return true })
+		p.WaitPred(nil, cn.inConds, func() bool { return true })
 	}
 	seq := cn.zcSendSeq
 	cn.zcSendSeq++
@@ -241,7 +241,7 @@ func (nx *NX) drainPending(cn *conn) {
 		if !busy {
 			return
 		}
-		p.WaitAnyChange(nx.connAddrs(cn), func() bool { return true })
+		p.WaitPred(nil, cn.inConds, func() bool { return true })
 	}
 }
 
