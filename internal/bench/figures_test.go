@@ -112,8 +112,8 @@ func TestMeasurementDeterminism(t *testing.T) {
 
 // vmmcPingPongAllocs is the allocation ceiling for one AU-1copy 1 KB
 // ping-pong point (world boot included), about 2% above the measured
-// 1414; the race detector's instrumentation adds about 10.
-const vmmcPingPongAllocs = 1442
+// 1216; the race detector's instrumentation adds about 16.
+const vmmcPingPongAllocs = 1240
 
 // TestVMMCPingPongAllocs gates host allocations on the figure path, which
 // unlike wall-clock do not depend on the host.

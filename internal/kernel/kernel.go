@@ -189,7 +189,7 @@ func (m *Machine) RaiseIRQ(vector int, data any) {
 	if m.Trace != nil {
 		m.Trace.Count(m.TraceNode+"/kernel", "irq", 1)
 	}
-	m.Eng.Schedule(hw.InterruptCost, func() { fn(data) })
+	m.Eng.Post(hw.InterruptCost, func() { fn(data) })
 }
 
 // Process is a user process on a node.

@@ -850,6 +850,83 @@ func f(m map[int][]float64) int {
 	}
 }
 
+func TestDiscardedTimer(t *testing.T) {
+	const simSrc = `package sim
+import "time"
+type Time int64
+type Timer struct{}
+type Engine struct{}
+func (e *Engine) Schedule(d time.Duration, fn func()) *Timer { return &Timer{} }
+func (e *Engine) At(t Time, fn func()) *Timer { return &Timer{} }
+func (e *Engine) Post(d time.Duration, fn func()) {}
+func (e *Engine) PostAt(t Time, fn func()) {}
+`
+	cases := []struct {
+		name string
+		src  string
+		test bool
+		want int
+	}{
+		{
+			name: "hit: Schedule and At as statements",
+			src: `package nic
+import "shrimp/internal/sim"
+type NIC struct{ eng *sim.Engine }
+func (n *NIC) kick() {
+	n.eng.Schedule(5, func() {})
+	n.eng.At(7, func() {})
+}`,
+			want: 2,
+		},
+		{
+			name: "clean: handle kept, Post and PostAt, foreign At",
+			src: `package nic
+import "shrimp/internal/sim"
+type series struct{}
+func (series) At(int) {}
+type NIC struct {
+	eng   *sim.Engine
+	timer *sim.Timer
+}
+func (n *NIC) kick(s series) {
+	n.timer = n.eng.Schedule(5, func() {})
+	n.eng.Post(5, func() {})
+	n.eng.PostAt(7, func() {})
+	s.At(3)
+}`,
+			want: 0,
+		},
+		{
+			name: "clean: test files may discard the handle",
+			src: `package nic
+import "shrimp/internal/sim"
+func exercise(e *sim.Engine) { e.Schedule(5, func() {}) }`,
+			test: true,
+			want: 0,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pkgs := loadFixtures(t,
+				fixture{path: "shrimp/internal/sim", src: simSrc, simReachable: true},
+				fixture{path: "shrimp/internal/nic", src: tc.src, simReachable: true})
+			p := pkgs[1]
+			if tc.test {
+				p.markTests(p.Files)
+			}
+			diags := runOne(DiscardedTimerAnalyzer(), p)
+			if len(diags) != tc.want {
+				t.Fatalf("got %d diagnostics, want %d: %v", len(diags), tc.want, diags)
+			}
+			for _, d := range diags {
+				if d.Rule != "discarded-timer" {
+					t.Fatalf("diagnostic under rule %q: %v", d.Rule, d)
+				}
+			}
+		})
+	}
+}
+
 func TestSelect(t *testing.T) {
 	all, err := Select("", "")
 	if err != nil || len(all) != len(All()) {

@@ -262,7 +262,7 @@ func (r *reliability) sendAck(from, to NodeID, acked uint32) {
 	hops := len(r.n.Route(from, to)) + 1 // router hops + eject
 	latency := time.Duration(hops)*hw.MeshHopLatency +
 		time.Duration(hw.PacketHeaderBytes)*hw.MeshLinkPerByte
-	r.n.eng.Schedule(latency, func() {
+	r.n.eng.Post(latency, func() {
 		if r.n.dead[ack.Dst] {
 			return
 		}

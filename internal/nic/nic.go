@@ -373,20 +373,17 @@ func (n *NIC) armCombineTimer(e OPTEntry) {
 		// No timer: the packet waits for a non-consecutive write or an
 		// explicit flush. (Libraries using combining always enable the
 		// timer; this mode exists for testing the hardware behaviour.)
-		if n.combineTime != nil {
-			n.combineTime.Stop()
-			n.combineTime = nil
-		}
+		n.combineTime.Stop()
 		return
 	}
 	if n.combineTime != nil {
-		// Still pending (fired and stopped timers clear the field):
-		// push the deadline out without building a new callback.
+		// Built on the first arm and kept for the NIC's lifetime: Reset
+		// pushes a pending deadline out, or re-arms a fired or stopped
+		// timer, without building a new handle or callback.
 		n.combineTime.Reset(hw.CombineTimeout)
 		return
 	}
 	n.combineTime = n.M.Eng.Schedule(hw.CombineTimeout, func() {
-		n.combineTime = nil
 		n.M.Trace.Count(n.track, "combine.timeout", 1)
 		n.flushOpen()
 	})
@@ -399,10 +396,7 @@ func (n *NIC) flushOpen() {
 	}
 	pkt := n.open
 	n.open = nil
-	if n.combineTime != nil {
-		n.combineTime.Stop()
-		n.combineTime = nil
-	}
+	n.combineTime.Stop()
 	n.packetize(pkt)
 }
 
@@ -417,7 +411,7 @@ func (n *NIC) packetize(pkt *outPacket) {
 		tc.Add(n.track, "packetize", now, now.Add(hw.PacketizeCost))
 		tc.Observe(n.track, "payload.bytes", int64(len(pkt.data)))
 	}
-	n.M.Eng.Schedule(hw.PacketizeCost, func() {
+	n.M.Eng.Post(hw.PacketizeCost, func() {
 		if n.dead {
 			return
 		}
@@ -447,7 +441,7 @@ func (n *NIC) kickInject() {
 	n.outQ = n.outQ[1:]
 	start, end := n.port.Reserve(hw.NICInjectCost)
 	n.M.Trace.Add(n.track, "inject", start, end)
-	n.M.Eng.At(end, func() {
+	n.M.Eng.PostAt(end, func() {
 		if n.dead {
 			return
 		}
@@ -542,7 +536,7 @@ func (n *NIC) runDUChunk(job *DUJob, i int, first bool) {
 		tc.Add(n.track, "du.dma", dmaStart, end)
 		tc.Observe(n.track, "du.chunk.bytes", int64(c.N))
 	}
-	n.M.Eng.At(end, func() {
+	n.M.Eng.PostAt(end, func() {
 		if n.dead {
 			return
 		}
@@ -601,7 +595,7 @@ func (n *NIC) kickIncoming() {
 		end = busEnd
 	}
 	n.M.Trace.Add(n.track, "in.dma", dmaStart, end)
-	n.M.Eng.At(end, func() {
+	n.M.Eng.PostAt(end, func() {
 		if n.dead {
 			return
 		}
@@ -622,7 +616,7 @@ func (n *NIC) kickIncoming() {
 				// queue — no CPU interrupt.
 				tag, src := entry.Tag, pkt.Src
 				n.M.Trace.Count(n.track, "notify.fast", 1)
-				n.M.Eng.Schedule(hw.FastNotifyPost, func() { n.FastNotifyHook(tag, src) })
+				n.M.Eng.Post(hw.FastNotifyPost, func() { n.FastNotifyHook(tag, src) })
 			} else {
 				n.M.Trace.Count(n.track, "notify.irq", 1)
 				n.M.RaiseIRQ(VecNotify, Notify{Frame: frame, Tag: entry.Tag, Src: pkt.Src})
@@ -679,7 +673,7 @@ func (n *NIC) StallOutgoing(d time.Duration) {
 		return
 	}
 	n.outStalled = true
-	n.M.Eng.Schedule(d, func() {
+	n.M.Eng.Post(d, func() {
 		n.outStalled = false
 		if n.dead {
 			return
@@ -697,10 +691,7 @@ func (n *NIC) Crash() {
 		return
 	}
 	n.dead = true
-	if n.combineTime != nil {
-		n.combineTime.Stop()
-		n.combineTime = nil
-	}
+	n.combineTime.Stop()
 	n.open = nil
 	n.outQ = nil
 	n.inQ = nil

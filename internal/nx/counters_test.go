@@ -64,9 +64,9 @@ func TestLazyCollectiveCounters(t *testing.T) {
 }
 
 // recvLoopAllocs is the allocation ceiling for runRecvLoop (world boot
-// included), about 2% above the measured 55836; the race detector's
-// instrumentation adds about 80.
-const recvLoopAllocs = 56950
+// included), about 2% above the measured 46768; the race detector's
+// instrumentation adds about 84.
+const recvLoopAllocs = 47700
 
 // runRecvLoop boots a 3x3 world in which node 0 opens connections to its
 // 8 peers and runs 64 rounds: each peer sends one small message and waits

@@ -5,7 +5,8 @@ import "fmt"
 // This file is the dynamic companion to the shrimplint static rules: a
 // replay-divergence harness. A scenario is run twice and the complete event
 // stream of every engine it attaches the digest to — event times, sequence
-// numbers, and process dispatches — is folded into an FNV-1a digest. Equal
+// numbers, and process dispatches — is folded into an FNV-1a digest, one
+// 64-bit word per step rather than one byte (see DigestTracer). Equal
 // digests mean the two runs executed the identical schedule; a mismatch
 // means something nondeterministic (map iteration order, unseeded
 // randomness, wall-clock leakage, host-scheduler dependence) steered the
@@ -26,9 +27,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// DigestTracer folds an execution stream into an FNV-1a hash. One fold may
-// be attached to several engines; it then digests all of them in the order
-// their events run.
+// DigestTracer folds an execution stream into a word-wise FNV-1a hash:
+// sum = (sum ^ w) * prime for each 64-bit word w, three words per event
+// and three or more per proc switch. One fold may be attached to several
+// engines; it then digests all of them in the order their events run.
 type DigestTracer struct {
 	sum uint64
 	// Events and Switches tally what was hashed, for failure diagnostics.
@@ -42,34 +44,42 @@ func NewDigestTracer() *DigestTracer { return &DigestTracer{sum: fnvOffset64} }
 // Sum returns the FNV-1a digest of everything observed so far.
 func (d *DigestTracer) Sum() uint64 { return d.sum }
 
-func (d *DigestTracer) mixByte(b byte) {
-	d.sum ^= uint64(b)
-	d.sum *= fnvPrime64
+// fold mixes one 64-bit word into the sum: FNV-1a over words, not bytes.
+func (d *DigestTracer) fold(w uint64) {
+	d.sum = (d.sum ^ w) * fnvPrime64
 }
 
-func (d *DigestTracer) mix64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.mixByte(byte(v >> (8 * i)))
-	}
-}
+// Tag words open each record and tell an event from a proc switch.
+const (
+	tagEvent  = 0x01
+	tagSwitch = 0x02
+)
 
-// Event implements Tracer.
+// Event implements Tracer: the tag, the time and the sequence number.
 func (d *DigestTracer) Event(at Time, seq uint64) {
 	d.Events++
-	d.mixByte(0x01)
-	d.mix64(uint64(at))
-	d.mix64(seq)
+	d.fold(tagEvent)
+	d.fold(uint64(at))
+	d.fold(seq)
 }
 
-// ProcSwitch implements Tracer.
+// ProcSwitch implements Tracer: the tag, the time, then the name as
+// little-endian 8-byte words. The last word holds the zero-padded tail
+// (0-7 bytes) with the low byte of the name length in its top byte, so
+// "ab" and "ab\x00" differ.
 func (d *DigestTracer) ProcSwitch(at Time, name string) {
 	d.Switches++
-	d.mixByte(0x02)
-	d.mix64(uint64(at))
-	for i := 0; i < len(name); i++ {
-		d.mixByte(name[i])
+	d.fold(tagSwitch)
+	d.fold(uint64(at))
+	tail := uint64(len(name)) << 56
+	for ; len(name) >= 8; name = name[8:] {
+		d.fold(uint64(name[0]) | uint64(name[1])<<8 | uint64(name[2])<<16 | uint64(name[3])<<24 |
+			uint64(name[4])<<32 | uint64(name[5])<<40 | uint64(name[6])<<48 | uint64(name[7])<<56)
 	}
-	d.mixByte(0x00)
+	for i := 0; i < len(name); i++ {
+		tail |= uint64(name[i]) << (8 * i)
+	}
+	d.fold(tail)
 }
 
 // CheckDeterminism runs scenario twice, each time with a fresh digest fold

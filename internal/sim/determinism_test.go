@@ -136,3 +136,48 @@ func TestCheckDeterminismRejectsUnattachedDigest(t *testing.T) {
 		t.Fatalf("scenario ran %d times after the first run saw nothing, want 1", runs)
 	}
 }
+
+// TestDigestFoldPinned pins the word fold of a fixed stream, so a change to
+// the fold (or to what it hashes) is a visible test failure rather than a
+// silent shift of every printed digest.
+func TestDigestFoldPinned(t *testing.T) {
+	d := NewDigestTracer()
+	d.Event(1000, 1)
+	d.ProcSwitch(1000, "worker0")
+	d.ProcSwitch(2500, "lg-send-0-1")
+	d.Event(2500, 7)
+	if got, want := d.Sum(), uint64(0x198ae3df8201fc02); got != want {
+		t.Fatalf("toy stream digest %#016x, want %#016x", got, want)
+	}
+	if d.Events != 2 || d.Switches != 2 {
+		t.Fatalf("tallied %d events and %d switches, want 2 and 2", d.Events, d.Switches)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.Event(3000, 8)
+		d.ProcSwitch(3000, "lg-send-0-1")
+	}); allocs != 0 {
+		t.Fatalf("folding allocated %v times per event and switch, want 0", allocs)
+	}
+}
+
+// TestDigestSwitchNames: every byte of a proc name counts, including bytes
+// past the first word and trailing zero bytes.
+func TestDigestSwitchNames(t *testing.T) {
+	sum := func(name string) uint64 {
+		d := NewDigestTracer()
+		d.ProcSwitch(5, name)
+		return d.Sum()
+	}
+	pairs := [][2]string{
+		{"lg-send-0-1", "lg-send-0-2"},               // differ at byte 10
+		{"worker-0123456789a", "worker-0123456789b"}, // differ in the third word
+		{"abcdefgh", "abcdefgh\x00"},                 // full word, then an empty vs a zero tail
+		{"ab", "ab\x00"},
+		{"", "\x00"},
+	}
+	for _, p := range pairs {
+		if sum(p[0]) == sum(p[1]) {
+			t.Errorf("switches to %q and %q fold to the same digest", p[0], p[1])
+		}
+	}
+}

@@ -20,15 +20,17 @@
 //
 // The event core is performance-engineered for wall-clock speed without
 // giving up one bit of determinism (see DESIGN.md "Wall-clock performance"):
-// events are recycled on a free list instead of allocated per Schedule,
-// canceled timers are removed from the heap eagerly rather than riding to
-// their deadline, and events scheduled for the current instant bypass the
-// heap on a FIFO that preserves the exact (time, seq) firing order the heap
-// would have produced.
+// the queue is a typed min-heap holding each (time, seq) key inline, events
+// are recycled on a free list instead of allocated per Schedule, canceled
+// timers are removed from the heap eagerly rather than riding to their
+// deadline, and events scheduled for the current instant bypass the heap on
+// a FIFO that preserves the exact (time, seq) firing order the heap would
+// have produced. Conds deregister waiters lazily (a wait generation marks
+// stale entries), timed waits re-arm a per-proc timer, and the replay
+// digest (DigestTracer) folds whole 64-bit words rather than bytes.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -94,7 +96,7 @@ func (t *Timer) Stop() bool {
 	t.ev = nil
 	switch {
 	case ev.index >= 0:
-		heap.Remove(&t.eng.queue, ev.index)
+		t.eng.queue.remove(ev.index)
 		t.eng.recycle(ev)
 		return true
 	case ev.index == indexNowQ:
@@ -130,32 +132,85 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return wasPending
 }
 
-type eventHeap []*event
+// slot is one event-queue entry. The (at, seq) key is held inline, so
+// sifting compares keys without dereferencing the event.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the firing order: earlier time first, then scheduling order.
+func (s slot) before(o slot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
+
+// eventQueue is a binary min-heap of slots ordered by before. Every move
+// writes the event's new position to its index field, which is how
+// Timer.Stop removes a canceled event eagerly.
+type eventQueue []slot
+
+// place stores s at position i and records the position on its event.
+func (q eventQueue) place(i int, s slot) {
+	q[i] = s
+	s.ev.index = i
+}
+
+// up sifts s toward the root from the hole at i.
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.before(q[parent]) {
+			break
+		}
+		q.place(i, q[parent])
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q.place(i, s)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down sifts s toward the leaves from the hole at i and reports whether it
+// moved.
+func (q eventQueue) down(i int, s slot) bool {
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(s) {
+			break
+		}
+		q.place(i, q[child])
+		i = child
+	}
+	q.place(i, s)
+	return i != start
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+
+// push inserts ev under its current (at, seq) key.
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, slot{})
+	q.up(len(*q)-1, slot{at: ev.at, seq: ev.seq, ev: ev})
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the entry at position i out of the heap and returns its
+// event; remove(0) pops the earliest.
+func (q *eventQueue) remove(i int) *event {
+	h := *q
+	ev := h[i].ev
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	if i < n && !h.down(i, last) {
+		h.up(i, last)
+	}
+	*q = h
 	ev.index = indexFired
-	*h = old[:n-1]
 	return ev
 }
 
@@ -163,7 +218,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 	// nowQ is the current-instant FIFO: events scheduled for exactly the
 	// current time skip the heap. Everything in nowQ carries a seq larger
 	// than any same-instant event still in the heap (heap entries for the
@@ -257,14 +312,15 @@ func (e *Engine) post(t Time, fn func()) *event {
 		e.nowQ = append(e.nowQ, ev)
 		e.nowLive++
 	} else {
-		heap.Push(&e.queue, ev)
+		e.queue.push(ev)
 	}
 	return ev
 }
 
 // Schedule arranges for fn to run d from now. d must be non-negative.
 // The returned Timer may be used to cancel or re-arm the event; callers
-// that never cancel should prefer Post, which allocates no handle.
+// that never cancel use Post, which allocates no handle (shrimplint's
+// discarded-timer rule flags a discarded handle outside tests).
 func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		panic("sim: negative delay") //lint:allow transitive-panic API misuse by the caller, not a runtime condition
@@ -307,7 +363,7 @@ func (e *Engine) next() *event {
 			// FIFO entries are at the current instant; heap entries for
 			// the same instant carry smaller seqs and must fire first.
 			if len(e.queue) > 0 && e.queue[0].at <= e.now {
-				return heap.Pop(&e.queue).(*event)
+				return e.queue.remove(0)
 			}
 			ev := e.nowQ[e.nowHead]
 			e.nowQ[e.nowHead] = nil
@@ -326,7 +382,7 @@ func (e *Engine) next() *event {
 			return ev
 		}
 		if len(e.queue) > 0 {
-			return heap.Pop(&e.queue).(*event)
+			return e.queue.remove(0)
 		}
 		return nil
 	}
@@ -343,10 +399,10 @@ func (e *Engine) Run(limit Time) Time {
 			break
 		}
 		if limit > 0 && next.at > limit {
-			// Put it back where it came from; only heap events can be
-			// beyond the current instant.
-			heap.Push(&e.queue, next)
-			e.now = limit
+			// Hold it for the next Run. The clock advances to limit but
+			// never moves backwards: a limit already passed stops here.
+			e.requeue(next)
+			e.now = max(e.now, limit)
 			break
 		}
 		if next.at < e.now {

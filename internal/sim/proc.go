@@ -32,10 +32,21 @@ type Proc struct {
 	done  bool
 	dead  bool // coroutine body exited
 
-	wakePending bool    // an unpark event is already scheduled
-	waitingOn   []*Cond // conds this proc is currently enqueued on
-	killed      bool    // Shutdown/Kill has asked the body to unwind
-	service     bool    // daemon-style proc: excluded from deadlock diagnosis
+	wakePending bool // an unpark event is already scheduled
+	killed      bool // Shutdown/Kill has asked the body to unwind
+	service     bool // daemon-style proc: excluded from deadlock diagnosis
+
+	// waiting is set while the proc is blocked on one or more conds.
+	// waitGen names the current wait: each cond entry records it, and
+	// ending the wait bumps it, which turns every entry of the wait stale
+	// at once instead of walking the conds to remove them.
+	waiting bool
+	waitGen uint64
+
+	// timeout is the timed-wait timer, re-armed by every WaitAnyTimeout;
+	// its callback, built once at Spawn, sets timedOut.
+	timeout  Timer
+	timedOut bool
 
 	// wake and redispatch are the proc's two wakeup callbacks, built once
 	// at Spawn so the hot paths (unpark, Sleep, YieldOnce) schedule them
@@ -72,6 +83,13 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		}
 		e.dispatch(p)
 	}
+	p.timeout = Timer{eng: e, fn: func() {
+		if p.waiting {
+			p.timedOut = true
+			p.endWait()
+			p.unpark()
+		}
+	}}
 	e.procs = append(e.procs, p)
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -144,7 +162,7 @@ func (p *Proc) Kill() {
 		panic(fmt.Sprintf("sim: proc %q cannot Kill itself", p.Name))
 	}
 	p.killed = true
-	p.leaveConds()
+	p.endWait()
 	p.unpark()
 }
 
@@ -195,21 +213,29 @@ func (p *Proc) checkCurrent() {
 // interrupts, fn stays queued until unmasked.
 func (p *Proc) Interrupt(fn func(*Proc)) {
 	p.pendingInterrupts = append(p.pendingInterrupts, fn)
-	if len(p.waitingOn) > 0 && !p.interruptsMasked {
+	if p.waiting && !p.interruptsMasked {
 		// Wake the proc out of its cond wait so the handler runs promptly.
-		p.leaveConds()
+		p.endWait()
 		p.unpark()
 	}
 }
 
-// leaveConds removes the proc from every cond it is enqueued on, keeping
-// the backing array for the next wait.
-func (p *Proc) leaveConds() {
-	for _, c := range p.waitingOn {
-		c.remove(p)
+// beginWait enqueues p on every cond under a fresh wait generation.
+func (p *Proc) beginWait(conds []*Cond) {
+	p.waiting = len(conds) > 0
+	for _, c := range conds {
+		c.enqueue(p)
 	}
-	clear(p.waitingOn)
-	p.waitingOn = p.waitingOn[:0]
+}
+
+// endWait ends the current cond wait, if any: bumping the generation
+// makes every entry it left on its conds stale, and Signal, Broadcast and
+// enqueue's compaction drop stale entries as they meet them.
+func (p *Proc) endWait() {
+	if p.waiting {
+		p.waiting = false
+		p.waitGen++
+	}
 }
 
 // MaskInterrupts defers queued and future interrupt handlers until
@@ -236,13 +262,45 @@ func (p *Proc) runPendingInterrupts() {
 
 // A Cond is a condition variable for procs. Waiters are woken in FIFO order.
 // As with sync.Cond, waiters must re-check their predicate after waking.
+//
+// Deregistration is lazy: a proc whose wait ended (woken through another
+// cond, timed out, interrupted or killed) leaves a stale entry behind
+// rather than being searched out of every cond it waited on. Wakeups skip
+// stale entries, so the order among live waiters is exactly FIFO.
 type Cond struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters []waiter
 }
+
+// waiter is one cond entry: the proc and the wait generation it was
+// enqueued under. It is live while the proc is still in that wait.
+type waiter struct {
+	p   *Proc
+	gen uint64
+}
+
+func (w waiter) live() bool { return w.p.waiting && w.p.waitGen == w.gen }
 
 // NewCond returns a condition variable bound to e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
+
+// enqueue appends p under its current wait generation. A full waiter
+// slice is first compacted in place, and it grows only when every entry is
+// live, so stale entries never make it grow: its capacity stays
+// proportional to the peak number of live waiters.
+func (c *Cond) enqueue(p *Proc) {
+	if len(c.waiters) == cap(c.waiters) {
+		live := c.waiters[:0]
+		for _, w := range c.waiters {
+			if w.live() {
+				live = append(live, w)
+			}
+		}
+		clear(c.waiters[len(live):])
+		c.waiters = live
+	}
+	c.waiters = append(c.waiters, waiter{p: p, gen: p.waitGen})
+}
 
 // Wait blocks p until the cond is signaled (or p is interrupted). Callers
 // must loop: for !pred() { c.Wait(p) }.
@@ -256,12 +314,9 @@ func WaitAny(p *Proc, conds ...*Cond) {
 		p.runPendingInterrupts()
 		return
 	}
-	for _, c := range conds {
-		c.waiters = append(c.waiters, p)
-	}
-	p.waitingOn = append(p.waitingOn[:0], conds...)
+	p.beginWait(conds)
 	p.park()
-	p.leaveConds()
+	p.endWait()
 }
 
 // WaitTimeout blocks like Wait but gives up after d. It reports whether the
@@ -273,61 +328,50 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 // WaitAnyTimeout blocks p until any one of the conds is signaled or d
 // elapses, whichever is first. It reports whether the wait timed out
 // (true) rather than being signaled. Callers re-check predicates after
-// waking, as with WaitAny.
+// waking, as with WaitAny. The deadline is the proc's own re-armed timer,
+// so timed waits do not nest: an interrupt handler that starts one while
+// interrupting another re-arms it, and the outer wait then reports the
+// inner one's outcome.
 func WaitAnyTimeout(p *Proc, d time.Duration, conds ...*Cond) bool {
 	p.checkCurrent()
 	if len(p.pendingInterrupts) > 0 && !p.interruptsMasked {
 		p.runPendingInterrupts()
 		return false
 	}
-	timedOut := false
-	timer := p.eng.Schedule(d, func() {
-		if len(p.waitingOn) > 0 {
-			timedOut = true
-			p.leaveConds()
-			p.unpark()
-		}
-	})
-	for _, c := range conds {
-		c.waiters = append(c.waiters, p)
-	}
-	p.waitingOn = append(p.waitingOn[:0], conds...)
+	p.timedOut = false
+	p.timeout.Reset(d)
+	p.beginWait(conds)
 	p.park()
-	p.leaveConds()
-	timer.Stop()
-	return timedOut
+	p.endWait()
+	p.timeout.Stop()
+	return p.timedOut
 }
 
-// Signal wakes the longest-waiting proc, if any.
+// Signal wakes the longest-waiting proc, if any, dropping the stale
+// entries ahead of it.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	p := c.waiters[0]
-	c.waiters = slices.Delete(c.waiters, 0, 1)
-	p.leaveConds()
-	p.unpark()
-}
-
-// Broadcast wakes every waiting proc. The waiter list is detached while
-// the wakeups run (so leaveConds skips c) and its backing array is reused
-// afterwards: unpark only posts events, so nothing re-enqueues meanwhile.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
-		p.leaveConds()
-		p.unpark()
-	}
-	clear(ws)
-	c.waiters = ws[:0]
-}
-
-func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = slices.Delete(c.waiters, i, i+1)
+		if w.live() {
+			c.waiters = slices.Delete(c.waiters, 0, i+1)
+			w.p.endWait()
+			w.p.unpark()
 			return
 		}
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+}
+
+// Broadcast wakes every waiting proc in FIFO order and empties the list,
+// keeping its backing array: unpark only posts events, so nothing
+// enqueues meanwhile.
+func (c *Cond) Broadcast() {
+	for _, w := range c.waiters {
+		if w.live() {
+			w.p.endWait()
+			w.p.unpark()
+		}
+	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -49,15 +48,12 @@ func (e *Engine) Settle() Time {
 	return e.now
 }
 
-// requeue returns a dequeued-but-unexecuted event to the heap.
+// requeue returns a dequeued-but-unexecuted event to the queue. The heap
+// is right even for an event at the current instant: its seq is smaller
+// than any still in the FIFO, and next drains the heap first at equal
+// times.
 func (e *Engine) requeue(ev *event) {
-	if ev.at == e.now {
-		ev.index = indexNowQ
-		e.nowQ = append(e.nowQ, ev)
-		e.nowLive++
-		return
-	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // Clock returns the current virtual time and the scheduling sequence
@@ -98,8 +94,8 @@ type EventStamp struct {
 // recipe-drift tripwire.
 func (e *Engine) EventStamps() []EventStamp {
 	out := make([]EventStamp, 0, len(e.queue)+e.nowLive)
-	for _, ev := range e.queue {
-		out = append(out, EventStamp{At: ev.at, Seq: ev.seq})
+	for _, s := range e.queue {
+		out = append(out, EventStamp{At: s.at, Seq: s.seq})
 	}
 	for i := e.nowHead; i < len(e.nowQ); i++ {
 		if ev := e.nowQ[i]; ev.index == indexNowQ {
